@@ -44,7 +44,7 @@ from .solvers import (
     DivergenceError,
     IterationReport,
     SolveConfig,
-    best_omega,
+    best_report,
     gcp_iterate,
     gmres_restarted,
     omega_sweep,
@@ -73,7 +73,7 @@ __all__ = [
     "SYMMETRIC_SCALED", "TRIANGULAR_SPLIT", "apply_pseudo_inverse",
     "apply_pseudo_inverse_transpose", "assemble", "build",
     "BreakdownError", "DivergenceError", "IterationReport", "SolveConfig",
-    "best_omega", "gcp_iterate", "gmres_restarted", "omega_sweep", "qmr",
+    "best_report", "gcp_iterate", "gmres_restarted", "omega_sweep", "qmr",
     "solve_with",
     "SpectralReport", "check_lemma4", "compute_X",
     "gcp_convergence_indicator", "norm_certificates",

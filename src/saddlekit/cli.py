@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     check_lemma4,
-    gcp_convergence_indicator,
     omega_bound_symmetric,
     omega_bound_triangular,
     pd_bound,
@@ -37,9 +36,9 @@ from .precond import (
 )
 from .problems import build_oseen, export
 from .solvers import (
-    CONVERGED,
     MAX_ITERS,
     SolveConfig,
+    best_report,
     omega_sweep,
     solve_with,
 )
@@ -257,8 +256,7 @@ def cmd_sweep(args) -> int:
     reports = omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
                           case_label=args.case, enforce_pd=False)
     reports.sort(key=lambda r: r.omega)
-    winners = [r for r in reports if r.converged]
-    best = min(winners, key=lambda r: r.iterations) if winners else None
+    best = best_report(reports)
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
                    "runs": [_report_payload(r) for r in reports]}
@@ -301,8 +299,6 @@ def cmd_analyze(args) -> int:
         _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
         return EXIT_OK
     report = check_lemma4(system, pc)
-    if report.gamma_XPW is None and family == CONSTRAINT:
-        report.gamma_XPW = gcp_convergence_indicator(system, pc)
     _emit(report.to_json(case=args.case, **bounds) + "\n", args.out)
     return EXIT_OK
 
@@ -313,10 +309,7 @@ def _table_cell(system, case, solver, omega, cfg):
     reports = omega_sweep(system, family, kind,
                           [0.9 * omega, omega, 1.1 * omega], solver=solver,
                           cfg=cfg, case_label=case, enforce_pd=False)
-    winners = [r for r in reports if r.converged]
-    if not winners:
-        return None
-    return min(winners, key=lambda r: r.iterations)
+    return best_report(reports)
 
 
 def _table_dash_confirmed(system, case, solver, cfg):

@@ -1,22 +1,18 @@
-"""Coordinate-format ("Matrix Market" style) text I/O, 1-based indices."""
+"""Matrix Market coordinate files (real, general, 1-based) through scipy.io."""
 
 from __future__ import annotations
 
 import numpy as np
-
-HEADER = "%%MatrixMarket matrix coordinate real general"
+import scipy.io
+from scipy.sparse import coo_array
 
 
 def write_coordinate(path, A) -> None:
     """Write a dense matrix as a coordinate file (explicit nonzeros only)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    rows, cols = A.shape
-    ii, jj = np.nonzero(A)
-    with open(path, "w") as fh:
-        fh.write(HEADER + "\n")
-        fh.write(f"{rows} {cols} {len(ii)}\n")
-        for i, j in zip(ii, jj):
-            fh.write(f"{i + 1} {j + 1} {float(A[i, j])!r}\n")
+    # through a handle: given a path, mmwrite appends ".mtx" when it is missing
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, coo_array(A), symmetry="general")
 
 
 def write_vector(path, v) -> None:
@@ -26,20 +22,11 @@ def write_vector(path, v) -> None:
 
 
 def read_coordinate(path) -> np.ndarray:
-    """Read a coordinate file written by :func:`write_coordinate`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != HEADER:
-            raise ValueError(f"unsupported header: {header!r}")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        rows, cols, nnz = (int(t) for t in line.split())
-        A = np.zeros((rows, cols))
-        for _ in range(nnz):
-            i, j, val = fh.readline().split()
-            A[int(i) - 1, int(j) - 1] = float(val)
-    return A
+    """Read a real coordinate file as a dense array."""
+    info = scipy.io.mminfo(path)
+    if info[3:5] != ("coordinate", "real"):
+        raise ValueError(f"not a real coordinate matrix: {info[3]} {info[4]}")
+    return scipy.io.mmread(path).toarray()
 
 
 def read_vector(path) -> np.ndarray:

@@ -26,7 +26,6 @@ from .linalg import (
     Array,
     DEFAULT_RANK_TOL,
     cholesky,
-    numerical_rank,
     pinv,
     spectral_norm,
 )
@@ -123,12 +122,10 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
 
 
 def build(system: SaddleSystem, family: str, p_choice: PChoice,
-          rank_tol: float = DEFAULT_RANK_TOL, rank_from_b: bool = False,
-          h_sq_over_nu: float | None = None, enforce_pd: bool = True) -> Preconditioner:
+          rank_tol: float = DEFAULT_RANK_TOL, h_sq_over_nu: float | None = None,
+          enforce_pd: bool = True) -> Preconditioner:
     """Factorize P, assemble E = B P^{-1} B^T and cache its pseudoinverse.
 
-    ``rank_from_b`` truncates E^+ to exactly rank(B) singular values
-    instead of the relative threshold (useful for ill-scaled problems).
     ``h_sq_over_nu`` overrides the (2,2) scalar of the block-triangular
     family; by default it is taken from the system metadata.
 
@@ -149,8 +146,7 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
         return Preconditioner(family, p_choice, P, p_solve, p_solve_t, B,
                               h_sq_over_nu=h_sq_over_nu)
     E = B @ p_solve(B.T)
-    max_rank = numerical_rank(B, rank_tol) if rank_from_b else None
-    E_pinv = pinv(E, rank_tol=rank_tol, max_rank=max_rank)
+    E_pinv = pinv(E, rank_tol=rank_tol)
     return Preconditioner(family, p_choice, P, p_solve, p_solve_t, B,
                           E=E, E_pinv=E_pinv)
 

@@ -96,6 +96,53 @@ class SaddleSystem:
                             l=self.l, nu=self.nu, raw_rhs=self.raw_rhs)
 
 
+def _momentum(l: int, nu: float, axis: int):
+    """Momentum block and load of one velocity component (axis 0: u, 1: v).
+
+    A 5-point viscous stencil plus the averaged-coefficient centred
+    convective stencil.  A neighbour beyond a wall normal to the component's
+    axis is a wall node: its value is 0 and the entry is dropped.  One beyond
+    a wall parallel to it is the ghost reflection 2g - u, with lid data g = 1
+    for u on y = 1 and g = 0 elsewhere.  Entries accumulate in a fixed order
+    (viscous W, E, S, N, then convective E, W, N, S).
+    """
+    h = 1.0 / l
+    visc = nu / h**2
+    nodes = np.arange(1, l) * h        # along the component's own axis
+    centres = (np.arange(l) + 0.5) * h  # across it
+    x, y = np.meshgrid(nodes, centres) if axis == 0 else np.meshgrid(centres, nodes)
+    k = np.arange(x.size).reshape(x.shape)
+    ids = np.pad(k, 1, constant_values=-1)
+    # direction -> (neighbour ids, -1 outside; True if it crosses a normal wall)
+    nbrs = {"W": (ids[1:-1, :-2], axis == 0), "E": (ids[1:-1, 2:], axis == 0),
+            "S": (ids[:-2, 1:-1], axis == 1), "N": (ids[2:, 1:-1], axis == 1)}
+    # signed convective coefficient of each neighbour value
+    a0, b0 = wind_x(x, y), wind_y(x, y)
+    conv = {"E": (a0 + wind_x(x + h, y)) / (4.0 * h),
+            "W": -((a0 + wind_x(x - h, y)) / (4.0 * h)),
+            "N": (b0 + wind_y(x, y + h)) / (4.0 * h),
+            "S": -((b0 + wind_y(x, y - h)) / (4.0 * h))}
+    F = np.zeros((k.size, k.size))
+    f = np.zeros(k.size)
+    F[k, k] = 4.0 * visc
+
+    def couple(d, coef):
+        nb, normal_wall = nbrs[d]
+        inside = nb >= 0
+        F[k[inside], nb[inside]] += coef[inside]
+        if not normal_wall:  # the ghost 2g - u folds into the diagonal and the load
+            ghost, c = k[~inside], coef[~inside]
+            F[ghost, ghost] -= c
+            if axis == 0 and d == "N":  # lid data g = 1
+                f[ghost] -= 2.0 * c
+
+    for d in "WESN":
+        couple(d, np.full(x.shape, -visc))
+    for d in "EWNS":
+        couple(d, conv[d])
+    return F, f
+
+
 def _assemble_oseen(l: int, nu: float):
     h = 1.0 / l
     n_u = l * (l - 1)
@@ -105,89 +152,6 @@ def _assemble_oseen(l: int, nu: float):
 
     def id_v(i, j):  # i in 0..l-1, j in 1..l-1
         return (j - 1) * l + i
-
-    F1 = np.zeros((n_u, n_u))
-    F2 = np.zeros((n_u, n_u))
-    f1 = np.zeros(n_u)
-    f2 = np.zeros(n_u)
-    visc = nu / h**2
-
-    # x-momentum at (i*h, (j+0.5)*h)
-    for j in range(l):
-        for i in range(1, l):
-            k = id_u(i, j)
-            x, y = i * h, (j + 0.5) * h
-            F1[k, k] += 4.0 * visc
-            if i - 1 >= 1:
-                F1[k, id_u(i - 1, j)] -= visc
-            if i + 1 <= l - 1:
-                F1[k, id_u(i + 1, j)] -= visc
-            if j - 1 >= 0:
-                F1[k, id_u(i, j - 1)] -= visc
-            else:  # ghost reflection across y=0, u=0 there
-                F1[k, k] += visc
-            if j + 1 <= l - 1:
-                F1[k, id_u(i, j + 1)] -= visc
-            else:  # moving lid: u=1 on y=1
-                F1[k, k] += visc
-                f1[k] += 2.0 * visc
-            # convection a u_x + b u_y, averaged-coefficient centered form
-            a0 = wind_x(x, y)
-            cE = (a0 + wind_x(x + h, y)) / (4.0 * h)
-            cW = (a0 + wind_x(x - h, y)) / (4.0 * h)
-            b0 = wind_y(x, y)
-            cN = (b0 + wind_y(x, y + h)) / (4.0 * h)
-            cS = (b0 + wind_y(x, y - h)) / (4.0 * h)
-            if i + 1 <= l - 1:
-                F1[k, id_u(i + 1, j)] += cE
-            if i - 1 >= 1:
-                F1[k, id_u(i - 1, j)] -= cW
-            if j + 1 <= l - 1:
-                F1[k, id_u(i, j + 1)] += cN
-            else:  # ghost value 2*1 - u
-                F1[k, k] -= cN
-                f1[k] -= 2.0 * cN
-            if j - 1 >= 0:
-                F1[k, id_u(i, j - 1)] -= cS
-            else:  # ghost value -u
-                F1[k, k] += cS
-
-    # y-momentum at ((i+0.5)*h, j*h)
-    for j in range(1, l):
-        for i in range(l):
-            k = id_v(i, j)
-            x, y = (i + 0.5) * h, j * h
-            F2[k, k] += 4.0 * visc
-            if i - 1 >= 0:
-                F2[k, id_v(i - 1, j)] -= visc
-            else:  # ghost reflection across x=0, v=0
-                F2[k, k] += visc
-            if i + 1 <= l - 1:
-                F2[k, id_v(i + 1, j)] -= visc
-            else:
-                F2[k, k] += visc
-            if j - 1 >= 1:
-                F2[k, id_v(i, j - 1)] -= visc
-            if j + 1 <= l - 1:
-                F2[k, id_v(i, j + 1)] -= visc
-            a0 = wind_x(x, y)
-            cE = (a0 + wind_x(x + h, y)) / (4.0 * h)
-            cW = (a0 + wind_x(x - h, y)) / (4.0 * h)
-            b0 = wind_y(x, y)
-            cN = (b0 + wind_y(x, y + h)) / (4.0 * h)
-            cS = (b0 + wind_y(x, y - h)) / (4.0 * h)
-            if i + 1 <= l - 1:
-                F2[k, id_v(i + 1, j)] += cE
-            else:  # ghost value -v
-                F2[k, k] -= cE
-            if i - 1 >= 0:
-                F2[k, id_v(i - 1, j)] -= cW
-            else:
-                F2[k, k] += cW
-            if j + 1 <= l - 1:
-                F2[k, id_v(i, j + 1)] += cN
-            if j - 1 >= 1:
-                F2[k, id_v(i, j - 1)] -= cS
 
     # discrete divergence scaled so that B^T is the pressure gradient
     B = np.zeros((l * l, 2 * n_u))
@@ -203,6 +167,8 @@ def _assemble_oseen(l: int, nu: float):
             if j + 1 <= l - 1:
                 B[rp, n_u + id_v(i, j + 1)] -= 1.0 / h
 
+    F1, f1 = _momentum(l, nu, 0)
+    F2, f2 = _momentum(l, nu, 1)
     W = np.zeros((2 * n_u, 2 * n_u))
     W[:n_u, :n_u] = F1
     W[n_u:, n_u:] = F2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Array
+from .linalg import Array, LinAlgFailure
 from .precond import (
     PChoice,
     Preconditioner,
@@ -147,7 +147,12 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
     tiny = 1e-14
     while total < cfg.max_iters:
         r_p = m_apply(b - A @ x)
-        beta = float(np.linalg.norm(r_p))
+        with np.errstate(over="ignore"):
+            beta = float(np.linalg.norm(r_p))
+        if not np.isfinite(beta):
+            report = IterationReport(False, total, history, history[-1], omega,
+                                     case_label, DIVERGED)
+            raise DivergenceError(report)
         if beta <= tiny * b_norm:
             # preconditioned residual vanished without true convergence
             report = IterationReport(False, total, history, history[-1], omega,
@@ -310,31 +315,45 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
                 **build_kwargs) -> list[IterationReport]:
     """One report per omega, in grid order; failures are flagged, not raised.
 
-    Parallelism is capped by the SADDLEKIT_THREADS environment variable
-    (default: serial).  Results are deterministic in grid order either way.
+    Parallelism is set by the SADDLEKIT_THREADS environment variable, an
+    integer from 1 to the CPU count (default 1, serial); any other value
+    raises ValueError before any work starts.  Results are deterministic in
+    grid order either way.
     """
     omegas = list(omega_grid)
     if not omegas:
         raise ValueError("omega grid must be nonempty")
+    workers = _sweep_threads()
 
     def run(omega: float) -> IterationReport:
         try:
             pc = build(system, family, PChoice(kind=p_kind, omega=omega), **build_kwargs)
-        except Exception:
+        except (ValueError, LinAlgFailure):
             return IterationReport(False, 0, [], float("nan"), omega,
                                    case_label, INFEASIBLE)
         return solve_with(solver, system, pc, cfg, case_label)
 
-    workers = int(os.environ.get("SADDLEKIT_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, omegas))
     return [run(omega) for omega in omegas]
 
 
-def best_omega(reports) -> float | None:
-    """Omega of the converged report with the fewest iterations, if any."""
+def _sweep_threads() -> int:
+    """Worker count from SADDLEKIT_THREADS: an integer in [1, os.cpu_count()]."""
+    text = os.environ.get("SADDLEKIT_THREADS", "1")
+    limit = os.cpu_count() or 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= limit:
+        raise ValueError(f"SADDLEKIT_THREADS must be an integer from 1 to {limit}, "
+                         f"got {text!r}")
+    return workers
+
+
+def best_report(reports) -> IterationReport | None:
+    """The converged report with the fewest iterations (first on a tie), if any."""
     winners = [r for r in reports if r.converged]
-    if not winners:
-        return None
-    return min(winners, key=lambda r: r.iterations).omega
+    return min(winners, key=lambda r: r.iterations) if winners else None

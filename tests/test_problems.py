@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,25 @@ class TestOseen:
         n_u = s.n // 2
         assert np.all(s.W[:n_u, n_u:] == 0.0)
         assert np.all(s.W[n_u:, :n_u] == 0.0)
+
+    @pytest.mark.parametrize("l, nu, digest", [
+        (4, 0.1, "3b0b3ae0023825faeb13c8a74b7a8c46acc023426330de2a64dd36ccee2b2254"),
+        (4, 0.001, "c2cfc347abe03cf71982b63d8f0f15ab402720a306ac2b97ad81311f259262f3"),
+        (8, 0.1, "c090f8316a2ac3b52b53b70c9f53247c4c5b548c0002db27747b2003d7482382"),
+        (8, 0.001, "02ccc70f33aa265f777165a8b76e498cdc4ee9ba3f4f1836393f5669f07fb542"),
+        (16, 0.1, "717f9c7e8f1f6a87b2f020498dc4c078d8fae5d83b256950b209bf592b2c6b9b"),
+        (16, 0.001, "3af22623c3f2f268887e1285f03e76e803e9d9e10c3e59bca61b2f60a19f9e99"),
+        # h = 1/7 is inexact, so this grid also pins the accumulation order
+        (7, 0.1, "c62a39bbaf66406c1e130fca7fcd88ea803586ce69bed762fc429cbb511415a3"),
+        (7, 0.001, "017341d9ace63007a9d416caec1982b498b632a609ed2b10dcaaa727c8ec3510"),
+    ])
+    def test_discretization_fingerprint(self, l, nu, digest):
+        # pins the stencil to the bit: sha256 of W, B, raw_rhs as float64 C-order
+        s = build_oseen(l, nu)
+        h = hashlib.sha256()
+        for a in (s.W, s.B, s.raw_rhs):
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestRandomSingular:

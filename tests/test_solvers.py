@@ -1,15 +1,20 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
+    BLOCK_TRI,
     CONSTRAINT,
     DivergenceError,
     PChoice,
     SaddleSystem,
     SolveConfig,
-    best_omega,
+    best_report,
     build,
+    build_oseen,
     build_random_singular,
     gcp_iterate,
     gmres_restarted,
@@ -17,6 +22,7 @@ from saddlekit import (
     qmr,
     solve_with,
 )
+from saddlekit import solvers
 from saddlekit.solvers import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITERS
 
 
@@ -126,7 +132,8 @@ class TestSweep:
         reports = omega_sweep(s, CONSTRAINT, "triangular_split", grid,
                               cfg=SolveConfig(max_iters=2000))
         assert reports[1].status == INFEASIBLE
-        assert best_omega(reports) in (grid[0], None)
+        best = best_report(reports)
+        assert (best.omega if best else None) in (grid[0], None)
 
     def test_empty_grid_rejected(self):
         s = saddle(21)
@@ -137,10 +144,27 @@ class TestSweep:
         s = saddle(22)
         grid = [0.8, 1.0, 1.2]
         serial = omega_sweep(s, CONSTRAINT, "symmetric_scaled", grid)
-        monkeypatch.setenv("SADDLEKIT_THREADS", "3")
+        monkeypatch.setenv("SADDLEKIT_THREADS", str(min(3, os.cpu_count())))
         parallel = omega_sweep(s, CONSTRAINT, "symmetric_scaled", grid)
         assert [r.iterations for r in serial] == [r.iterations for r in parallel]
         assert [r.omega for r in serial] == grid
+
+    def test_programming_error_propagates(self):
+        # a misspelled keyword is a TypeError, not an infeasible omega
+        with pytest.raises(TypeError):
+            omega_sweep(saddle(23), CONSTRAINT, "symmetric_scaled", [0.8, 1.0],
+                        enforce_pdd=False)
+
+    @pytest.mark.parametrize("value", ["0", "two", str(os.cpu_count() + 1)])
+    def test_rejects_bad_thread_count(self, monkeypatch, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started before validating SADDLEKIT_THREADS")
+
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", no_work)
+        monkeypatch.setattr(solvers, "build", no_work)
+        monkeypatch.setenv("SADDLEKIT_THREADS", value)
+        with pytest.raises(ValueError, match="SADDLEKIT_THREADS"):
+            omega_sweep(saddle(24), CONSTRAINT, "symmetric_scaled", [0.8, 1.0])
 
 
 def test_report_csv(tmp_path):
@@ -157,4 +181,15 @@ def test_solve_with_maps_divergence():
     s = saddle(31)
     report = solve_with("gcp", s, default_pc(s, omega=0.05),
                         SolveConfig(max_iters=2000))
+    assert report.status == DIVERGED and not report.converged
+
+
+def test_gmres_overflow_is_divergence():
+    # M_t^{-1} overflows the preconditioned residual far beyond the PD bound
+    s = build_oseen(16, 0.1)
+    pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=2000.0),
+               enforce_pd=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = solve_with("gmres", s, pc)
     assert report.status == DIVERGED and not report.converged
