@@ -41,6 +41,7 @@ from .solvers import (
     best_report,
     omega_sweep,
     solve_with,
+    sweep_threads,
 )
 
 EXIT_OK = 0
@@ -115,6 +116,14 @@ def parse_omega_grid(text: str) -> list[float]:
     if step <= 0 or b < a:
         raise UsageError(f"bad omega grid {text!r}: need a <= b and step > 0")
     return [float(w) for w in np.arange(a, b + 0.5 * step, step)]
+
+
+def check_threads() -> None:
+    """Reject a bad SADDLEKIT_THREADS as a usage error before any sweep."""
+    try:
+        sweep_threads()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def default_solver(case: str) -> str:
@@ -250,6 +259,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     solver = resolve_solver(args.case, args.solver)
     grid = parse_omega_grid(args.omega_grid)
+    check_threads()
     system = build_oseen(args.l, args.nu, seed=args.seed)
     family, kind = CASE_MAP[args.case]
     cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
@@ -349,6 +359,7 @@ def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[di
 def cmd_table(args) -> int:
     if args.l not in (16, 32):
         raise UsageError("published omegas are tabulated for l in {16, 32}")
+    check_threads()
     cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
     buf = io.StringIO()

@@ -96,6 +96,17 @@ class SaddleSystem:
                             l=self.l, nu=self.nu, raw_rhs=self.raw_rhs)
 
 
+def _velocity_ids(l: int, axis: int) -> Array:
+    """Unknown numbers of one velocity component (axis 0: u, 1: v) as a grid.
+
+    Row j, column i holds the node at height index j and width index i
+    (u: x = (i+1) h, y = (j+1/2) h; v: x = (i+1/2) h, y = (j+1) h), numbered
+    row by row.  The momentum blocks and B share this one ordering.
+    """
+    shape = (l, l - 1) if axis == 0 else (l - 1, l)
+    return np.arange(l * (l - 1)).reshape(shape)
+
+
 def _momentum(l: int, nu: float, axis: int):
     """Momentum block and load of one velocity component (axis 0: u, 1: v).
 
@@ -111,7 +122,7 @@ def _momentum(l: int, nu: float, axis: int):
     nodes = np.arange(1, l) * h        # along the component's own axis
     centres = (np.arange(l) + 0.5) * h  # across it
     x, y = np.meshgrid(nodes, centres) if axis == 0 else np.meshgrid(centres, nodes)
-    k = np.arange(x.size).reshape(x.shape)
+    k = _velocity_ids(l, axis)
     ids = np.pad(k, 1, constant_values=-1)
     # direction -> (neighbour ids, -1 outside; True if it crosses a normal wall)
     nbrs = {"W": (ids[1:-1, :-2], axis == 0), "E": (ids[1:-1, 2:], axis == 0),
@@ -146,26 +157,15 @@ def _momentum(l: int, nu: float, axis: int):
 def _assemble_oseen(l: int, nu: float):
     h = 1.0 / l
     n_u = l * (l - 1)
-
-    def id_u(i, j):  # i in 1..l-1, j in 0..l-1
-        return j * (l - 1) + (i - 1)
-
-    def id_v(i, j):  # i in 0..l-1, j in 1..l-1
-        return (j - 1) * l + i
-
-    # discrete divergence scaled so that B^T is the pressure gradient
+    # discrete divergence scaled so that B^T is the pressure gradient: a face
+    # gets +1/h from the cell on its high side and -1/h from the one below
+    cells = np.arange(l * l).reshape(l, l)
+    ku, kv = _velocity_ids(l, 0), n_u + _velocity_ids(l, 1)
     B = np.zeros((l * l, 2 * n_u))
-    for j in range(l):
-        for i in range(l):
-            rp = j * l + i
-            if i >= 1:
-                B[rp, id_u(i, j)] += 1.0 / h
-            if i + 1 <= l - 1:
-                B[rp, id_u(i + 1, j)] -= 1.0 / h
-            if j >= 1:
-                B[rp, n_u + id_v(i, j)] += 1.0 / h
-            if j + 1 <= l - 1:
-                B[rp, n_u + id_v(i, j + 1)] -= 1.0 / h
+    B[cells[:, 1:], ku] = 1.0 / h
+    B[cells[:, :-1], ku] = -1.0 / h
+    B[cells[1:, :], kv] = 1.0 / h
+    B[cells[:-1, :], kv] = -1.0 / h
 
     F1, f1 = _momentum(l, nu, 0)
     F2, f2 = _momentum(l, nu, 1)

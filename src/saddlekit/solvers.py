@@ -323,7 +323,7 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
     omegas = list(omega_grid)
     if not omegas:
         raise ValueError("omega grid must be nonempty")
-    workers = _sweep_threads()
+    workers = sweep_threads()
 
     def run(omega: float) -> IterationReport:
         try:
@@ -339,7 +339,7 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
     return [run(omega) for omega in omegas]
 
 
-def _sweep_threads() -> int:
+def sweep_threads() -> int:
     """Worker count from SADDLEKIT_THREADS: an integer in [1, os.cpu_count()]."""
     text = os.environ.get("SADDLEKIT_THREADS", "1")
     limit = os.cpu_count() or 1

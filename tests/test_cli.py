@@ -13,6 +13,7 @@ from saddlekit.cli import (
     parse_omega_grid,
     resolve_solver,
 )
+from saddlekit import cli
 from saddlekit.cli import UsageError
 
 
@@ -144,6 +145,22 @@ class TestAnalyze:
                            "--nu", "0.1", "--omega", "50.0")
         assert code == EXIT_USAGE
         assert "positive definite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "1:1:1"),
+    ("table", "2", "-l", "16"),
+])
+def test_bad_thread_count_usage(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before validating SADDLEKIT_THREADS")
+
+    monkeypatch.setattr(cli, "build_oseen", no_work)
+    monkeypatch.setattr(cli, "run_table", no_work)
+    monkeypatch.setenv("SADDLEKIT_THREADS", "0")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "SADDLEKIT_THREADS" in err
 
 
 def test_table_grid_guard(capsys):
