@@ -22,9 +22,12 @@ from .linalg import (
     DEFAULT_ONE_TOL,
     DEFAULT_RANK_TOL,
     NotPositiveDefinite,
+    SvdFactors,
     cholesky,
+    dense,
     numerical_rank,
     pseudospectral_radius,
+    rank_of,
     spectral_norm,
     svd,
     sym_inv_sqrt,
@@ -67,11 +70,11 @@ def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner,
                               one_tol: float = DEFAULT_ONE_TOL) -> float:
     """gamma(X(P - W)); the stationary scheme converges iff this is < 1."""
     X = compute_X(system, pc)
-    return pseudospectral_radius(X @ (pc.P - system.W), one_tol)
+    return pseudospectral_radius(X @ (pc.P - dense(system.W)), one_tol)
 
 
-def _null_basis(M: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
-    f = svd(M)
+def _null_basis(f: SvdFactors, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+    """Orthonormal basis of the null space from a full SVD."""
     s = f.singular_values
     if s.size == 0 or s[0] == 0.0:
         return f.V
@@ -89,8 +92,9 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner,
     MdagA = apply_pseudo_inverse(pc, A)
     T = np.eye(A.shape[0]) - MdagA
 
-    NA = _null_basis(A)
-    NMA = _null_basis(MdagA)
+    NA = _null_basis(svd(A))
+    f = svd(MdagA)  # gives both the null space and the rank of M^+ A
+    NMA = _null_basis(f)
     if NA.shape[1] != NMA.shape[1]:
         null_ok = False
     elif NA.shape[1] == 0:
@@ -99,7 +103,7 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner,
         angles = sla.subspace_angles(NA, NMA)
         null_ok = bool(angles.max(initial=0.0) <= NULL_ANGLE_TOL)
 
-    index_ok = numerical_rank(MdagA) == numerical_rank(MdagA @ MdagA)
+    index_ok = rank_of(f.singular_values) == numerical_rank(MdagA @ MdagA)
     gamma_T = pseudospectral_radius(T, one_tol)
 
     gamma_xpw = None
@@ -192,5 +196,5 @@ def norm_certificates(system: SaddleSystem, pc: Preconditioner) -> tuple[float, 
         raise ValueError("symmetric part of P is not positive definite") from exc
     X = compute_X(system, pc)
     x_norm = spectral_norm(Rh @ X @ Rh)
-    pw_norm = spectral_norm(Rinv @ (pc.P - system.W) @ Rinv)
+    pw_norm = spectral_norm(Rinv @ (pc.P - dense(system.W)) @ Rinv)
     return x_norm, pw_norm

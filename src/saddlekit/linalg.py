@@ -1,9 +1,9 @@
 """Dense linear algebra kernels used across the package.
 
-Everything here operates on plain ``numpy.ndarray`` carriers (real, dense,
-row-major).  Factorizations are delegated to LAPACK through numpy/scipy;
-the wrappers pin down the rank-truncation and tolerance conventions the
-rest of the package relies on.
+Everything here computes on plain ``numpy.ndarray`` carriers (real, dense,
+row-major); a ``scipy.sparse`` argument is densified first.  Factorizations
+are delegated to LAPACK through numpy/scipy; the wrappers pin down the
+rank-truncation and tolerance conventions the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 Array = np.ndarray
 
@@ -34,8 +35,13 @@ class SingularTriangular(LinAlgFailure):
     pass
 
 
+def dense(A) -> Array:
+    """A as a float ``ndarray``; a ``scipy.sparse`` matrix is expanded."""
+    return A.toarray() if sps.issparse(A) else np.asarray(A, dtype=float)
+
+
 def _as_matrix(A) -> Array:
-    A = np.asarray(A, dtype=float)
+    A = dense(A)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -146,7 +152,11 @@ def spectral_norm(A: Array) -> float:
 
 def numerical_rank(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rank_tol * s_max``."""
-    s = svd(A).singular_values
+    return rank_of(svd(A).singular_values, rank_tol)
+
+
+def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Numerical rank from nonincreasing singular values ``s``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))

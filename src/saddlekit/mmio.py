@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.io
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, issparse
 
 
 def write_coordinate(path, A) -> None:
-    """Write a dense matrix as a coordinate file (explicit nonzeros only)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    """Write a dense or sparse matrix as a coordinate file (explicit nonzeros only)."""
+    A = coo_array(A if issparse(A) else np.atleast_2d(np.asarray(A, dtype=float)))
     # through a handle: given a path, mmwrite appends ".mtx" when it is missing
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, coo_array(A), symmetry="general")
+        scipy.io.mmwrite(fh, A, symmetry="general")
 
 
 def write_vector(path, v) -> None:

@@ -18,6 +18,7 @@ omega < 1 / ||L_s||_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +27,7 @@ from .linalg import (
     Array,
     DEFAULT_RANK_TOL,
     cholesky,
+    dense,
     pinv,
     spectral_norm,
 )
@@ -59,21 +61,29 @@ class PChoice:
 
 
 class Preconditioner:
-    """Factorized preconditioner; immutable after :func:`build`."""
+    """Factorized preconditioner; immutable after :func:`build`.
 
-    def __init__(self, family, p_choice, P, p_solve, p_solve_t, B,
+    The applies use only the factors of P, so P itself is formed on first
+    use (by :func:`assemble`, the analysis and tests).
+    """
+
+    def __init__(self, family, p_choice, make_p, p_solve, p_solve_t, B,
                  E=None, E_pinv=None, h_sq_over_nu=None):
         self.family = family
         self.p_choice = p_choice
-        self.P = P
+        self._make_p = make_p
         self._p_solve = p_solve
         self._p_solve_t = p_solve_t
         self.B = B
         self.E = E
         self.E_pinv = E_pinv
         self.h_sq_over_nu = h_sq_over_nu
-        self.n = P.shape[0]
-        self.m = B.shape[0]
+        self.m, self.n = B.shape
+
+    @cached_property
+    def P(self) -> Array:
+        """The dense (1,1) block."""
+        return self._make_p()
 
     def p_solve(self, x: Array) -> Array:
         """Apply P^{-1} to a vector or a column block."""
@@ -84,41 +94,53 @@ class Preconditioner:
         return self._p_solve_t(x)
 
 
+def _finite(x: Array) -> Array:
+    # Factors are checked once, at build; each solve checks only its right-hand
+    # side, so LAPACK is called with check_finite=False on the same bytes.
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return x
+
+
 def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool = True):
+    """(make_p, p_solve, p_solve_t) for the (1,1) block P."""
     W = system.W
+    omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
-        sp = split(W)
-        P = p_choice.omega * sp.H
-        L = cholesky(P)  # doubles as the SPD check on H
-        p_solve = lambda x: sla.cho_solve((L, True), x)
-        return P, p_solve, p_solve
+        # doubles as the SPD check on H; Fortran order, so cho_solve copies nothing
+        L = np.asfortranarray(cholesky(omega * split(W).H))
+
+        def p_solve(x):
+            return sla.cho_solve((L, True), _finite(x), check_finite=False)
+
+        return (lambda: omega * split(W).H), p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
         sp = split(W)
-        omega = p_choice.omega
-        norm_ls = spectral_norm(sp.L_s)
-        if enforce_pd and norm_ls > 0 and omega >= 1.0 / norm_ls:
-            raise ValueError(
-                f"triangular-split P is not positive definite: omega={omega:g} "
-                f">= 1/||L_s||_2 = {1.0 / norm_ls:g}")
+        if enforce_pd:
+            norm_ls = spectral_norm(sp.L_s)
+            if norm_ls > 0 and omega >= 1.0 / norm_ls:
+                raise ValueError(
+                    f"triangular-split P is not positive definite: omega={omega:g} "
+                    f">= 1/||L_s||_2 = {1.0 / norm_ls:g}")
         n = W.shape[0]
-        Fl = np.eye(n) + omega * sp.L_s
-        Fu = np.eye(n) + omega * sp.U_s
-        P = (1.0 / omega) * (Fl @ Fu)
+        Fl = _finite(np.eye(n) + omega * sp.L_s)
+        Fu = _finite(np.eye(n) + omega * sp.U_s)
 
-        def p_solve(x, Fl=Fl, Fu=Fu, omega=omega):
-            y = sla.solve_triangular(Fl, x, lower=True)
-            return omega * sla.solve_triangular(Fu, y, lower=False)
+        def tri(F, x, lower):
+            return sla.solve_triangular(F, _finite(x), lower=lower, check_finite=False)
 
-        def p_solve_t(x, Fl=Fl, Fu=Fu, omega=omega):
-            y = sla.solve_triangular(Fu.T, x, lower=True)
-            return omega * sla.solve_triangular(Fl.T, y, lower=False)
+        def p_solve(x):
+            return omega * tri(Fu, tri(Fl, x, True), False)
 
-        return P, p_solve, p_solve_t
+        def p_solve_t(x):
+            return omega * tri(Fl.T, tri(Fu.T, x, True), False)
+
+        return (lambda: (1.0 / omega) * (Fl @ Fu)), p_solve, p_solve_t
     P = np.asarray(p_choice.custom_p, dtype=float)
     lu = sla.lu_factor(P)
-    return (P,
-            lambda x: sla.lu_solve(lu, x),
-            lambda x: sla.lu_solve(lu, x, trans=1))
+    return ((lambda: P),
+            lambda x: sla.lu_solve(lu, _finite(x), check_finite=False),
+            lambda x: sla.lu_solve(lu, _finite(x), trans=1, check_finite=False))
 
 
 def build(system: SaddleSystem, family: str, p_choice: PChoice,
@@ -130,24 +152,25 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     family; by default it is taken from the system metadata.
 
     ``enforce_pd=False`` skips the positive-definiteness gate on the
-    triangular-split P.  The convergence theory assumes the gate, but the
-    iteration itself is well defined (and sometimes convergent) beyond it.
+    triangular-split P, and with it the SVD for ||L_s||_2.  The convergence
+    theory assumes the gate, but the iteration itself is well defined (and
+    sometimes convergent) beyond it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown preconditioner family {family!r}")
-    P, p_solve, p_solve_t = _p_factorization(system, p_choice, enforce_pd)
-    B = system.B
+    make_p, p_solve, p_solve_t = _p_factorization(system, p_choice, enforce_pd)
+    B = dense(system.B)
     if family == BLOCK_TRI:
         if h_sq_over_nu is None:
             if system.h is not None and system.nu is not None:
                 h_sq_over_nu = system.h**2 / system.nu
             else:
                 h_sq_over_nu = 1.0
-        return Preconditioner(family, p_choice, P, p_solve, p_solve_t, B,
+        return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
                               h_sq_over_nu=h_sq_over_nu)
     E = B @ p_solve(B.T)
     E_pinv = pinv(E, rank_tol=rank_tol)
-    return Preconditioner(family, p_choice, P, p_solve, p_solve_t, B,
+    return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
                           E=E, E_pinv=E_pinv)
 
 

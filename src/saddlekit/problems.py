@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sps
 
 from . import mmio
-from .linalg import Array, svd
+from .linalg import Array, dense, svd
 
 DEFAULT_RANGE_TOL = 1e-10
 
@@ -47,7 +48,7 @@ class Splitting:
 
 def split(W: Array) -> Splitting:
     """W = H + S with H symmetric, S skew; L_s/U_s the strict triangles of S."""
-    W = np.asarray(W, dtype=float)
+    W = dense(W)
     H = 0.5 * (W + W.T)
     S = 0.5 * (W - W.T)
     L_s = np.tril(S, -1)
@@ -57,15 +58,25 @@ def split(W: Array) -> Splitting:
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """The block system [[W, B^T], [-B, 0]] (u; p) = (f; g)."""
+    """The block system [[W, B^T], [-B, 0]] (u; p) = (f; g).
 
-    W: Array
-    B: Array
+    W and B are stored as ``scipy.sparse`` CSR arrays, whatever they are
+    given as; dense blocks are formed where dense arithmetic needs them.
+    """
+
+    W: sps.csr_array
+    B: sps.csr_array
     f: Array
     g: Array
     l: int | None = None
     nu: float | None = None
     raw_rhs: Array | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("W", "B"):
+            M = getattr(self, name)
+            if not isinstance(M, sps.csr_array):
+                object.__setattr__(self, name, sps.csr_array(dense(M)))
 
     @property
     def n(self) -> int:
@@ -83,9 +94,9 @@ class SaddleSystem:
         """Assemble the dense (n+m) x (n+m) coefficient matrix."""
         n, m = self.n, self.m
         A = np.zeros((n + m, n + m))
-        A[:n, :n] = self.W
-        A[:n, n:] = self.B.T
-        A[n:, :n] = -self.B
+        A[:n, :n] = self.W.toarray()
+        A[:n, n:] = self.B.T.toarray()
+        A[n:, :n] = -self.B.toarray()
         return A
 
     def rhs(self) -> Array:

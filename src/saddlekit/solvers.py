@@ -96,22 +96,32 @@ def _setup(system: SaddleSystem, cfg: SolveConfig | None):
     return cfg, A, b, b_norm, x0
 
 
-def _res(A, b, b_norm, x) -> float:
+def _residual(A, b, b_norm, x) -> tuple[Array, float]:
+    """The residual b - A x and RES = ||b - A x|| / ||b||."""
     # A residual too large to square reads as inf, which callers flag as divergence
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(b - A @ x) / b_norm)
+        r = b - A @ x
+        return r, float(np.linalg.norm(r) / b_norm)
+
+
+def _res(A, b, b_norm, x) -> float:
+    return _residual(A, b, b_norm, x)[1]
 
 
 def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
                 cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
-    """Fixed-point iteration x <- x + M^+ (b - A x)."""
+    """Fixed-point iteration x <- x + M^+ (b - A x).
+
+    The residual taken for the stopping test is the next step's r, so each
+    step makes one product with A.
+    """
     cfg, A, b, b_norm, x = _setup(system, cfg)
-    history = [_res(A, b, b_norm, x)]
+    r, res = _residual(A, b, b_norm, x)
+    history = [res]
     omega = pc.p_choice.omega
     for k in range(1, cfg.max_iters + 1):
-        r = b - A @ x
         x = x + apply_pseudo_inverse(pc, r)
-        res = _res(A, b, b_norm, x)
+        r, res = _residual(A, b, b_norm, x)
         if not np.isfinite(res) or res > DIVERGENCE_CAP:
             last_finite = history[-1]
             report = IterationReport(False, k, history, last_finite, omega,

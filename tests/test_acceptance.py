@@ -5,8 +5,10 @@ criteria run the l=16 benchmark; the l=32 variant is opt-in through the
 SADDLEKIT_ACCEPT_L32 environment variable because of its runtime.
 """
 
+import csv
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from saddlekit.solvers import omega_sweep
 from saddlekit.cli import DASH_GRID, run_table
 
 T_START = time.time()
+DATA = Path(__file__).parent / "data"
 
 
 def _verdict(num, ok, detail):
@@ -280,14 +283,21 @@ def test_criterion_8_bound_certificates():
 
 
 def test_criterion_9_desk_scale_performance():
-    """The l=16 property-plus-table run stays under ten minutes."""
+    """The l=16 property-plus-table run stays under ten minutes, every cell as pinned."""
     cfg = SolveConfig(max_iters=5000)
+    moved = []
     for table_id in (2, 3, 4):
         rows = run_table(table_id, 16, cfg)
         assert len(rows) == 12
+        # the cells are the behaviour fingerprint: `saddlekit table N -l 16` output
+        with open(DATA / f"table{table_id}_l16.csv", newline="") as fh:
+            pinned = list(csv.DictReader(fh))
+        got = [{key: str(value) for key, value in row.items()} for row in rows]
+        moved += [(table_id, want, have) for want, have in zip(pinned, got) if want != have]
     elapsed = time.time() - T_START
-    ok = elapsed < 600
-    detail = f"l=16 property-plus-table wall time {elapsed:.0f}s"
+    ok = elapsed < 600 and not moved
+    detail = (f"l=16 property-plus-table wall time {elapsed:.0f}s; "
+              f"cells differing from tests/data: {moved or 'none'}")
     if os.environ.get("SADDLEKIT_ACCEPT_L32"):
         t0 = time.time()
         for table_id in (2, 3, 4):

@@ -15,8 +15,11 @@ from saddlekit import (
     build,
     build_random_singular,
 )
+from saddlekit import precond
 from saddlekit.analysis import pd_bound
 from saddlekit.linalg import pinv
+from saddlekit.precond import FAMILIES
+from saddlekit.problems import split
 
 
 def saddle(seed, **kw):
@@ -56,6 +59,51 @@ class TestBuild:
         # the gate can be waived explicitly
         build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=bad),
               enforce_pd=False)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_norm_without_pd_gate(self, family, monkeypatch):
+        def refuse(_):
+            raise AssertionError("spectral_norm called with enforce_pd=False")
+
+        monkeypatch.setattr(precond, "spectral_norm", refuse)
+        s = saddle(4)
+        build(s, family, PChoice(kind="triangular_split", omega=1.5 * pd_bound(s.W)),
+              enforce_pd=False)
+
+    def test_pd_gate_message(self):
+        s = saddle(1)
+        bound = pd_bound(s.W)
+        with pytest.raises(ValueError) as exc:
+            build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=1.5 * bound))
+        assert str(exc.value) == (
+            "triangular-split P is not positive definite: "
+            f"omega={1.5 * bound:g} >= 1/||L_s||_2 = {bound:g}")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lazy_p_is_bit_exact(self, family):
+        s = saddle(5)
+        sp = split(s.W)
+        omega = 0.5 * pd_bound(s.W)
+        pc = build(s, family, PChoice(kind="symmetric_scaled", omega=omega))
+        assert "P" not in vars(pc)  # formed on first use only
+        assert np.array_equal(pc.P, omega * sp.H)
+        pc = build(s, family, PChoice(kind="triangular_split", omega=omega))
+        I = np.eye(s.n)
+        expected = (1.0 / omega) * ((I + omega * sp.L_s) @ (I + omega * sp.U_s))
+        assert np.array_equal(pc.P, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split", "custom"])
+    def test_apply_rejects_non_finite(self, family, kind):
+        s = saddle(6)
+        pc = build(s, family, PChoice(kind=kind, omega=0.5 * pd_bound(s.W),
+                                      custom_p=np.diag(np.arange(1.0, s.n + 1))))
+        r = np.ones(s.n + s.m)
+        r[1] = np.nan
+        with pytest.raises(ValueError):
+            apply_pseudo_inverse(pc, r)
+        with pytest.raises(ValueError):
+            apply_pseudo_inverse_transpose(pc, r)
 
     def test_triangular_p_product(self):
         s = saddle(2)

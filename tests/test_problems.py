@@ -58,7 +58,7 @@ class TestOseen:
         assert numerical_rank(s.B) == l * l - 1
         # constant pressure spans the null space of B^T
         ones = np.ones(s.m)
-        assert np.linalg.norm(s.B.T @ ones) <= 1e-12 * np.linalg.norm(s.B)
+        assert np.linalg.norm(s.B.T @ ones) <= 1e-12 * np.linalg.norm(s.B.toarray())
 
     @pytest.mark.parametrize("nu", [1.0, 0.1, 0.001])
     def test_symmetric_part_spd(self, nu):
@@ -96,8 +96,8 @@ class TestOseen:
     def test_velocity_blocks_decoupled(self):
         s = build_oseen(4, 0.1)
         n_u = s.n // 2
-        assert np.all(s.W[:n_u, n_u:] == 0.0)
-        assert np.all(s.W[n_u:, :n_u] == 0.0)
+        assert np.all(s.W.toarray()[:n_u, n_u:] == 0.0)
+        assert np.all(s.W.toarray()[n_u:, :n_u] == 0.0)
 
     @pytest.mark.parametrize("l, nu, digest", [
         (4, 0.1, "3b0b3ae0023825faeb13c8a74b7a8c46acc023426330de2a64dd36ccee2b2254"),
@@ -114,7 +114,7 @@ class TestOseen:
         # pins the stencil to the bit: sha256 of W, B, raw_rhs as float64 C-order
         s = build_oseen(l, nu)
         h = hashlib.sha256()
-        for a in (s.W, s.B, s.raw_rhs):
+        for a in (s.W.toarray(), s.B.toarray(), s.raw_rhs):
             h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
         assert h.hexdigest() == digest
 
@@ -152,6 +152,6 @@ def test_export_roundtrip(tmp_path):
     meta = export(s, tmp_path)
     assert meta == {"l": 4, "nu": 0.5, "n": 24, "m": 16}
     assert json.loads((tmp_path / "meta.json").read_text()) == meta
-    assert np.array_equal(mmio.read_coordinate(tmp_path / "W.mtx"), s.W)
-    assert np.array_equal(mmio.read_coordinate(tmp_path / "B.mtx"), s.B)
+    assert np.array_equal(mmio.read_coordinate(tmp_path / "W.mtx"), s.W.toarray())
+    assert np.array_equal(mmio.read_coordinate(tmp_path / "B.mtx"), s.B.toarray())
     assert np.array_equal(mmio.read_vector(tmp_path / "f.mtx"), s.f)

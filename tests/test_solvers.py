@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
+    BLOCK_DIAG,
     BLOCK_TRI,
     CONSTRAINT,
     DivergenceError,
@@ -67,6 +68,23 @@ class TestGcp:
             gcp_iterate(s, pc, SolveConfig(max_iters=2000))
         assert exc.value.report.status == DIVERGED
         assert np.isfinite(exc.value.report.final_res)
+
+    def test_divergence_pinned_to_the_bit(self):
+        # the stopping test's residual is reused as the next step's r; the
+        # first overflowing step and its last finite RES must not move
+        s = build_oseen(4, 0.1)
+        pc = build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=79.58),
+                   enforce_pd=False)
+        report = solve_with("gcp", s, pc)
+        assert report.status == DIVERGED and report.iterations == 2
+        assert report.final_res == 8628039.615896275
+
+    def test_overflow_diverges_at_first_step(self):
+        s = build_oseen(8, 0.1)
+        pc = build(s, BLOCK_DIAG, PChoice(kind="triangular_split", omega=2000.0),
+                   enforce_pd=False)
+        report = solve_with("gcp", s, pc)
+        assert report.status == DIVERGED and report.iterations == 1
 
     def test_max_iters_status(self):
         s = saddle(6)
