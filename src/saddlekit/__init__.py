@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .linalg import (
     LinAlgFailure,
     NotPositiveDefinite,
-    SingularTriangular,
     SvdFactors,
     pinv,
     pseudospectral_radius,
@@ -65,8 +64,8 @@ from .analysis import (
 
 __all__ = [
     "__version__",
-    "LinAlgFailure", "NotPositiveDefinite", "SingularTriangular",
-    "SvdFactors", "pinv", "pseudospectral_radius", "spectral_norm", "svd",
+    "LinAlgFailure", "NotPositiveDefinite", "SvdFactors", "pinv",
+    "pseudospectral_radius", "spectral_norm", "svd",
     "SaddleSystem", "Splitting", "build_oseen", "build_random_singular",
     "make_consistent_rhs", "split",
     "BLOCK_DIAG", "BLOCK_TRI", "CONSTRAINT", "PChoice", "Preconditioner",

@@ -2,7 +2,7 @@
 
 Everything here computes on plain ``numpy.ndarray`` carriers (real, dense,
 row-major); a ``scipy.sparse`` argument is densified first.  Factorizations
-are delegated to LAPACK through numpy/scipy; the wrappers pin down the
+are delegated to LAPACK through numpy; the wrappers pin down the
 rank-truncation and tolerance conventions the rest of the package relies on.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sps
 
 Array = np.ndarray
@@ -28,10 +27,6 @@ class LinAlgFailure(RuntimeError):
 
 
 class NotPositiveDefinite(LinAlgFailure):
-    pass
-
-
-class SingularTriangular(LinAlgFailure):
     pass
 
 
@@ -57,13 +52,6 @@ class SvdFactors:
     singular_values: Array
     V: Array
 
-    def reconstruct(self) -> Array:
-        rows, cols = self.U.shape[0], self.V.shape[0]
-        S = np.zeros((rows, cols))
-        k = self.singular_values.size
-        S[:k, :k] = np.diag(self.singular_values)
-        return self.U @ S @ self.V.T
-
 
 def svd(A: Array) -> SvdFactors:
     """Full singular value decomposition, singular values nonincreasing."""
@@ -75,12 +63,10 @@ def svd(A: Array) -> SvdFactors:
     return SvdFactors(U=U, singular_values=s, V=Vt.T)
 
 
-def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL, max_rank: int | None = None) -> Array:
+def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     """Moore-Penrose inverse via SVD with relative rank truncation.
 
     Singular values at or below ``rank_tol * s_max`` are treated as zero.
-    ``max_rank`` optionally caps the number of retained singular values
-    (used when the rank is known a priori from the constraint block).
     """
     if not 0.0 < rank_tol < 1.0:
         raise ValueError("rank_tol must lie in (0, 1)")
@@ -89,8 +75,6 @@ def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL, max_rank: int | None = No
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))
     keep = s > rank_tol * s[0]
-    if max_rank is not None:
-        keep &= np.arange(s.size) < max_rank
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (f.V[:, : s.size] * inv_s) @ f.U[:, : s.size].T
 
@@ -108,16 +92,6 @@ def cholesky(A: Array) -> Array:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix not positive definite") from exc
-
-
-def tri_solve(T: Array, b: Array, side: str = "lower") -> Array:
-    """Solve ``T x = b`` with T triangular (``side`` in {'lower', 'upper'})."""
-    T = _as_matrix(T)
-    if side not in ("lower", "upper"):
-        raise ValueError("side must be 'lower' or 'upper'")
-    if np.any(np.diag(T) == 0.0):
-        raise SingularTriangular("triangular matrix has a zero diagonal entry")
-    return sla.solve_triangular(T, b, lower=(side == "lower"))
 
 
 def eigenvalues(A: Array) -> Array:

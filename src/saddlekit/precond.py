@@ -23,15 +23,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import (
-    Array,
-    DEFAULT_RANK_TOL,
-    cholesky,
-    dense,
-    pinv,
-    spectral_norm,
-)
-from .problems import SaddleSystem, split
+from .linalg import Array, cholesky, dense, pinv, spectral_norm
+from .problems import SaddleSystem, split, symmetric_part
 
 CONSTRAINT = "constraint"
 BLOCK_DIAG = "block_diag"
@@ -108,12 +101,12 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
     omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
         # doubles as the SPD check on H; Fortran order, so cho_solve copies nothing
-        L = np.asfortranarray(cholesky(omega * split(W).H))
+        L = np.asfortranarray(cholesky(omega * symmetric_part(W)))
 
         def p_solve(x):
             return sla.cho_solve((L, True), _finite(x), check_finite=False)
 
-        return (lambda: omega * split(W).H), p_solve, p_solve
+        return (lambda: omega * symmetric_part(W)), p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
         sp = split(W)
         if enforce_pd:
@@ -144,12 +137,11 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
 
 
 def build(system: SaddleSystem, family: str, p_choice: PChoice,
-          rank_tol: float = DEFAULT_RANK_TOL, h_sq_over_nu: float | None = None,
           enforce_pd: bool = True) -> Preconditioner:
     """Factorize P, assemble E = B P^{-1} B^T and cache its pseudoinverse.
 
-    ``h_sq_over_nu`` overrides the (2,2) scalar of the block-triangular
-    family; by default it is taken from the system metadata.
+    The (2,2) block of the block-triangular family is h^2/nu times I, from
+    the system's grid metadata, or I for a system without it.
 
     ``enforce_pd=False`` skips the positive-definiteness gate on the
     triangular-split P, and with it the SVD for ||L_s||_2.  The convergence
@@ -161,15 +153,14 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     make_p, p_solve, p_solve_t = _p_factorization(system, p_choice, enforce_pd)
     B = dense(system.B)
     if family == BLOCK_TRI:
-        if h_sq_over_nu is None:
-            if system.h is not None and system.nu is not None:
-                h_sq_over_nu = system.h**2 / system.nu
-            else:
-                h_sq_over_nu = 1.0
+        if system.h is not None and system.nu is not None:
+            h_sq_over_nu = system.h**2 / system.nu
+        else:
+            h_sq_over_nu = 1.0
         return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
                               h_sq_over_nu=h_sq_over_nu)
     E = B @ p_solve(B.T)
-    E_pinv = pinv(E, rank_tol=rank_tol)
+    E_pinv = pinv(E)
     return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
                           E=E, E_pinv=E_pinv)
 

@@ -46,10 +46,16 @@ class Splitting:
     U_s: Array
 
 
+def symmetric_part(W: Array) -> Array:
+    """H = (W + W^T) / 2, dense."""
+    W = dense(W)
+    return 0.5 * (W + W.T)
+
+
 def split(W: Array) -> Splitting:
     """W = H + S with H symmetric, S skew; L_s/U_s the strict triangles of S."""
     W = dense(W)
-    H = 0.5 * (W + W.T)
+    H = symmetric_part(W)
     S = 0.5 * (W - W.T)
     L_s = np.tril(S, -1)
     U_s = np.triu(S, 1)

@@ -79,33 +79,63 @@ class DivergenceError(RuntimeError):
 class BreakdownError(RuntimeError):
     """Krylov recurrence broke down without convergence."""
 
-    def __init__(self, message: str, iteration: int, report: IterationReport | None = None):
+    def __init__(self, message: str, iteration: int, report: IterationReport):
         super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
         self.report = report
 
 
-def _setup(system: SaddleSystem, cfg: SolveConfig | None):
-    cfg = cfg or SolveConfig()
-    A = system.matrix()
-    b = system.rhs()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        b_norm = 1.0
-    x0 = np.zeros_like(b) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    return cfg, A, b, b_norm, x0
+def _report(status: str, iterations: int, history: list[float], omega: float,
+            case_label: str, x: Array | None = None) -> IterationReport:
+    final_res = history[-1] if history else float("nan")
+    return IterationReport(status == CONVERGED, iterations, history, final_res,
+                           omega, case_label, status, x=x)
 
 
-def _residual(A, b, b_norm, x) -> tuple[Array, float]:
-    """The residual b - A x and RES = ||b - A x|| / ||b||."""
-    # A residual too large to square reads as inf, which callers flag as divergence
-    with np.errstate(over="ignore"):
-        r = b - A @ x
-        return r, float(np.linalg.norm(r) / b_norm)
+class _Run:
+    """The stopping rule every solver shares.
 
+    It owns A, b and ||b||, takes every true residual (recording RES and
+    applying the divergence cap) and writes the report for each way a run
+    ends, so a solver's loop only makes its next iterate.
+    """
 
-def _res(A, b, b_norm, x) -> float:
-    return _residual(A, b, b_norm, x)[1]
+    def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
+                 cfg: SolveConfig | None, case_label: str):
+        self.cfg = cfg = cfg or SolveConfig()
+        self.A = system.matrix()
+        self.b = system.rhs()
+        self.b_norm = float(np.linalg.norm(self.b)) or 1.0
+        self.x0 = (np.zeros_like(self.b) if cfg.x0 is None
+                   else np.asarray(cfg.x0, dtype=float))
+        self.omega = 1.0 if pc is None else pc.p_choice.omega
+        self.case_label = case_label
+        self.history: list[float] = []
+
+    def residual(self, x: Array, k: int) -> Array:
+        """r = b - A x at step k; records RES = ||r|| / ||b||.
+
+        From step 1 on, a RES that is not finite or exceeds DIVERGENCE_CAP
+        raises DivergenceError; RES of the initial guess is recorded as is.
+        """
+        # A residual too large to square reads as inf, which flags divergence
+        with np.errstate(over="ignore"):
+            r = self.b - self.A @ x
+            res = float(np.linalg.norm(r) / self.b_norm)
+        if k > 0 and (not np.isfinite(res) or res > DIVERGENCE_CAP):
+            raise DivergenceError(self.end(k, status=DIVERGED))
+        self.history.append(res)
+        return r
+
+    @property
+    def converged(self) -> bool:
+        return self.history[-1] < self.cfg.tol
+
+    def end(self, k: int, x: Array | None = None, status: str | None = None) -> IterationReport:
+        """The report of a run ending after k steps: converged or max_iters by default."""
+        if status is None:
+            status = CONVERGED if self.converged else MAX_ITERS
+        return _report(status, k, self.history, self.omega, self.case_label, x)
 
 
 def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
@@ -115,68 +145,55 @@ def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
     The residual taken for the stopping test is the next step's r, so each
     step makes one product with A.
     """
-    cfg, A, b, b_norm, x = _setup(system, cfg)
-    r, res = _residual(A, b, b_norm, x)
-    history = [res]
-    omega = pc.p_choice.omega
-    for k in range(1, cfg.max_iters + 1):
+    run = _Run(system, pc, cfg, case_label)
+    x = run.x0
+    r = run.residual(x, 0)
+    k = 0
+    while not run.converged and k < run.cfg.max_iters:
+        k += 1
         x = x + apply_pseudo_inverse(pc, r)
-        r, res = _residual(A, b, b_norm, x)
-        if not np.isfinite(res) or res > DIVERGENCE_CAP:
-            last_finite = history[-1]
-            report = IterationReport(False, k, history, last_finite, omega,
-                                     case_label, DIVERGED)
-            raise DivergenceError(report)
-        history.append(res)
-        if res < cfg.tol:
-            return IterationReport(True, k, history, res, omega, case_label,
-                                   CONVERGED, x=x)
-    return IterationReport(False, cfg.max_iters, history, history[-1], omega,
-                           case_label, MAX_ITERS, x=x)
+        r = run.residual(x, k)
+    return run.end(k, x)
 
 
 def _precondition(pc: Preconditioner | None):
     if pc is None:
-        return (lambda v: v), (lambda v: v), 1.0
+        return (lambda v: v), (lambda v: v)
     return (lambda v: apply_pseudo_inverse(pc, v),
-            lambda v: apply_pseudo_inverse_transpose(pc, v),
-            pc.p_choice.omega)
+            lambda v: apply_pseudo_inverse_transpose(pc, v))
 
 
 def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
                     cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
-    """Left-preconditioned GMRES(restart); iteration count = total inner steps."""
-    cfg, A, b, b_norm, x = _setup(system, cfg)
-    m_apply, _, omega = _precondition(pc)
-    history = [_res(A, b, b_norm, x)]
-    if history[0] < cfg.tol:
-        return IterationReport(True, 0, history, history[0], omega, case_label,
-                               CONVERGED, x=x)
+    """Left-preconditioned GMRES(restart); iteration count = total inner steps.
+
+    Each cycle starts from the residual the stopping test took at its last
+    iterate.
+    """
+    run = _Run(system, pc, cfg, case_label)
+    cfg = run.cfg
+    m_apply, _ = _precondition(pc)
+    x = run.x0
+    r = run.residual(x, 0)
     total = 0
-    dim = b.size
     tiny = 1e-14
-    while total < cfg.max_iters:
-        r_p = m_apply(b - A @ x)
+    while not run.converged and total < cfg.max_iters:
+        r_p = m_apply(r)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(r_p))
         if not np.isfinite(beta):
-            report = IterationReport(False, total, history, history[-1], omega,
-                                     case_label, DIVERGED)
-            raise DivergenceError(report)
-        if beta <= tiny * b_norm:
+            raise DivergenceError(run.end(total, status=DIVERGED))
+        if beta <= tiny * run.b_norm:
             # preconditioned residual vanished without true convergence
-            report = IterationReport(False, total, history, history[-1], omega,
-                                     case_label, STAGNATED, x=x)
             raise BreakdownError("GMRES stagnation: zero preconditioned residual",
-                                 total, report)
+                                 total, run.end(total, x, STAGNATED))
         steps = min(cfg.restart, cfg.max_iters - total)
-        V = np.zeros((dim, steps + 1))
+        V = np.zeros((x.size, steps + 1))
         Hm = np.zeros((steps + 1, steps))
         V[:, 0] = r_p / beta
         happy = False
-        k = 0
         for k in range(steps):
-            w = m_apply(A @ V[:, k])
+            w = m_apply(run.A @ V[:, k])
             for i in range(k + 1):  # modified Gram-Schmidt
                 Hm[i, k] = V[:, i] @ w
                 w = w - Hm[i, k] * V[:, i]
@@ -190,25 +207,14 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
             e1[0] = beta
             y, *_ = np.linalg.lstsq(Hm[: k + 2, : k + 1], e1, rcond=None)
             xk = x + V[:, : k + 1] @ y
-            res = _res(A, b, b_norm, xk)
-            if not np.isfinite(res) or res > DIVERGENCE_CAP:
-                report = IterationReport(False, total, history, history[-1],
-                                         omega, case_label, DIVERGED)
-                raise DivergenceError(report)
-            history.append(res)
-            if res < cfg.tol:
-                return IterationReport(True, total, history, res, omega,
-                                       case_label, CONVERGED, x=xk)
-            if happy:
+            r = run.residual(xk, total)
+            if run.converged or happy:
                 break
         x = xk
-        if happy and history[-1] >= cfg.tol:
-            report = IterationReport(False, total, history, history[-1], omega,
-                                     case_label, STAGNATED, x=x)
+        if happy and not run.converged:
             raise BreakdownError("GMRES stagnation: happy breakdown without convergence",
-                                 total, report)
-    return IterationReport(False, total, history, history[-1], omega,
-                           case_label, MAX_ITERS, x=x)
+                                 total, run.end(total, x, STAGNATED))
+    return run.end(total, x)
 
 
 def qmr(system: SaddleSystem, pc: Preconditioner | None,
@@ -218,8 +224,9 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     Shadow vector initialized to the initial preconditioned residual;
     Lanczos breakdowns are reported, not repaired.
     """
-    cfg, A, b, b_norm, x = _setup(system, cfg)
-    m_apply, m_apply_t, omega = _precondition(pc)
+    run = _Run(system, pc, cfg, case_label)
+    A = run.A
+    m_apply, m_apply_t = _precondition(pc)
 
     def op(v):
         return m_apply(A @ v)
@@ -227,45 +234,40 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     def op_t(v):
         return A.T @ m_apply_t(v)
 
-    history = [_res(A, b, b_norm, x)]
-    if history[0] < cfg.tol:
-        return IterationReport(True, 0, history, history[0], omega, case_label,
-                               CONVERGED, x=x)
-    r = m_apply(b - A @ x)
-    scale = float(np.linalg.norm(r))
-    tiny = 1e-14 * max(scale, 1.0)
+    def breakdown(message):
+        return BreakdownError(message, k, run.end(k - 1, x, BREAKDOWN))
 
-    v_t = r.copy()
-    rho = float(np.linalg.norm(v_t))
-    w_t = r.copy()
-    xi = float(np.linalg.norm(w_t))
+    x = run.x0
+    r = run.residual(x, 0)
+    if run.converged:
+        return run.end(0, x)
+    # no vector below is updated in place, so v_t and w_t can share one array
+    v_t = w_t = m_apply(r)
+    rho = xi = float(np.linalg.norm(v_t))
+    tiny = 1e-14 * max(rho, 1.0)
     gamma_prev = 1.0
     eta_prev = -1.0
     theta_prev = 0.0
     epsilon = 1.0
     p = q = d = None
 
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, run.cfg.max_iters + 1):
         if abs(rho) <= tiny or abs(xi) <= tiny:
-            raise BreakdownError("QMR Lanczos breakdown (rho or xi vanished)", k,
-                                 _partial_qmr_report(history, k, omega, case_label, x))
+            raise breakdown("QMR Lanczos breakdown (rho or xi vanished)")
         v = v_t / rho
         w = w_t / xi
         delta = float(w @ v)
         if abs(delta) <= tiny:
-            raise BreakdownError("QMR Lanczos breakdown (biorthogonality lost)", k,
-                                 _partial_qmr_report(history, k, omega, case_label, x))
+            raise breakdown("QMR Lanczos breakdown (biorthogonality lost)")
         if p is None:
-            p = v.copy()
-            q = w.copy()
+            p, q = v, w
         else:
             p = v - (xi * delta / epsilon) * p
             q = w - (rho * delta / epsilon) * q
         p_t = op(p)
         epsilon = float(q @ p_t)
         if abs(epsilon) <= tiny:
-            raise BreakdownError("QMR breakdown (epsilon vanished)", k,
-                                 _partial_qmr_report(history, k, omega, case_label, x))
+            raise breakdown("QMR breakdown (epsilon vanished)")
         beta = epsilon / delta
         v_t = p_t - beta * v
         rho_next = float(np.linalg.norm(v_t))
@@ -274,32 +276,19 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         theta = rho_next / (gamma_prev * abs(beta))
         gamma = 1.0 / np.sqrt(1.0 + theta**2)
         if gamma == 0.0:
-            raise BreakdownError("QMR breakdown (gamma vanished)", k,
-                                 _partial_qmr_report(history, k, omega, case_label, x))
+            raise breakdown("QMR breakdown (gamma vanished)")
         eta = -eta_prev * rho * gamma**2 / (beta * gamma_prev**2)
         if d is None:
             d = eta * p
         else:
             d = eta * p + (theta_prev * gamma) ** 2 * d
         x = x + d
-        res = _res(A, b, b_norm, x)
-        if not np.isfinite(res) or res > DIVERGENCE_CAP:
-            report = IterationReport(False, k, history, history[-1], omega,
-                                     case_label, DIVERGED)
-            raise DivergenceError(report)
-        history.append(res)
-        if res < cfg.tol:
-            return IterationReport(True, k, history, res, omega, case_label,
-                                   CONVERGED, x=x)
+        run.residual(x, k)
+        if run.converged:
+            break
         rho = rho_next
         gamma_prev, eta_prev, theta_prev = gamma, eta, theta
-    return IterationReport(False, cfg.max_iters, history, history[-1], omega,
-                           case_label, MAX_ITERS, x=x)
-
-
-def _partial_qmr_report(history, k, omega, case_label, x):
-    return IterationReport(False, k - 1, history, history[-1], omega,
-                           case_label, BREAKDOWN, x=x)
+    return run.end(k, x)
 
 
 _SOLVERS = {"gcp": gcp_iterate, "stationary": gcp_iterate,
@@ -311,12 +300,8 @@ def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str 
     fn = _SOLVERS[solver]
     try:
         return fn(system, pc, cfg, case_label)
-    except DivergenceError as exc:
+    except (DivergenceError, BreakdownError) as exc:
         return exc.report
-    except BreakdownError as exc:
-        if exc.report is not None:
-            return exc.report
-        raise
 
 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
@@ -339,8 +324,7 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
         try:
             pc = build(system, family, PChoice(kind=p_kind, omega=omega), **build_kwargs)
         except (ValueError, LinAlgFailure):
-            return IterationReport(False, 0, [], float("nan"), omega,
-                                   case_label, INFEASIBLE)
+            return _report(INFEASIBLE, 0, [], omega, case_label)
         return solve_with(solver, system, pc, cfg, case_label)
 
     if workers > 1:

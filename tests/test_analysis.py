@@ -131,7 +131,7 @@ class TestLemma4:
 
     def test_family_gate(self):
         s = saddle(1)
-        pc = build(s, BLOCK_TRI, PChoice(), h_sq_over_nu=1.0)
+        pc = build(s, BLOCK_TRI, PChoice())
         with pytest.raises(ValueError):
             check_lemma4(s, pc)
 

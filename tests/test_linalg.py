@@ -13,7 +13,6 @@ from saddlekit.linalg import (
     DEFAULT_ONE_TOL,
     LinAlgFailure,
     NotPositiveDefinite,
-    SingularTriangular,
     cholesky,
     eigenvalues,
     numerical_rank,
@@ -23,7 +22,6 @@ from saddlekit.linalg import (
     svd,
     sym_inv_sqrt,
     sym_sqrt,
-    tri_solve,
 )
 
 
@@ -75,7 +73,9 @@ class TestSvdPinv:
     @settings(max_examples=60, deadline=None)
     def test_svd_reconstructs(self, A):
         f = svd(A)
-        assert np.allclose(f.reconstruct(), A, atol=1e-10 * max(1.0, np.abs(A).max()))
+        k = f.singular_values.size
+        assert np.allclose(f.U[:, :k] * f.singular_values @ f.V[:, :k].T, A,
+                           atol=1e-10 * max(1.0, np.abs(A).max()))
         assert np.all(np.diff(f.singular_values) <= 1e-12)
 
     @given(matrices())
@@ -100,11 +100,6 @@ class TestSvdPinv:
         assert pinv(np.zeros((3, 4))).shape == (4, 3)
         assert np.all(pinv(np.zeros((3, 4))) == 0.0)
 
-    def test_pinv_max_rank_truncation(self, rng):
-        A = np.diag([3.0, 2.0, 1.0])
-        Ap = pinv(A, max_rank=2)
-        assert np.allclose(np.diag(Ap), [1 / 3, 1 / 2, 0.0])
-
     def test_pinv_bad_tol(self):
         with pytest.raises(ValueError):
             pinv(np.eye(2), rank_tol=0.0)
@@ -124,22 +119,6 @@ class TestCholeskyTriangular:
     def test_cholesky_asymmetric(self):
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["lower", "upper"]))
-    @settings(max_examples=40, deadline=None)
-    def test_tri_solve_roundtrip(self, seed, side):
-        g = np.random.default_rng(seed)
-        T = np.tril(g.standard_normal((5, 5))) + 3 * np.eye(5)
-        if side == "upper":
-            T = T.T
-        b = g.standard_normal(5)
-        x = tri_solve(T, b, side=side)
-        assert np.allclose(T @ x, b, atol=1e-9)
-
-    def test_tri_solve_singular(self):
-        T = np.array([[1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(SingularTriangular):
-            tri_solve(T, np.ones(2))
 
 
 class TestEigenvalues:

@@ -13,6 +13,7 @@ from saddlekit import (
     apply_pseudo_inverse_transpose,
     assemble,
     build,
+    build_oseen,
     build_random_singular,
 )
 from saddlekit import precond
@@ -139,19 +140,18 @@ def test_block_apply_matches_svd_pinv(family, kind, seed):
 @given(seed=st.integers(0, 300))
 @settings(max_examples=25, deadline=None)
 def test_block_tri_is_exact_inverse(seed):
-    s = saddle(seed)
-    pc = build(s, BLOCK_TRI, valid_choice(s, "symmetric_scaled", seed),
-               h_sq_over_nu=0.7)
-    M = assemble(pc)
-    r = np.random.default_rng(seed).standard_normal(s.n + s.m)
-    y = apply_pseudo_inverse(pc, r)
-    assert np.allclose(M @ y, r, atol=1e-8 * max(1.0, np.abs(M).max()))
-    yt = apply_pseudo_inverse_transpose(pc, r)
-    assert np.allclose(M.T @ yt, r, atol=1e-8 * max(1.0, np.abs(M).max()))
+    # the (2,2) scalar is 1 without grid metadata and h^2/nu = 0.125 for the Oseen system
+    for s in (saddle(seed), build_oseen(4, 0.5)):
+        pc = build(s, BLOCK_TRI, valid_choice(s, "symmetric_scaled", seed))
+        M = assemble(pc)
+        r = np.random.default_rng(seed).standard_normal(s.n + s.m)
+        y = apply_pseudo_inverse(pc, r)
+        assert np.allclose(M @ y, r, atol=1e-8 * max(1.0, np.abs(M).max()))
+        yt = apply_pseudo_inverse_transpose(pc, r)
+        assert np.allclose(M.T @ yt, r, atol=1e-8 * max(1.0, np.abs(M).max()))
 
 
 def test_block_tri_scalar_from_metadata():
-    from saddlekit import build_oseen
     s = build_oseen(4, 0.5)
     pc = build(s, BLOCK_TRI, PChoice())
     assert pc.h_sq_over_nu == pytest.approx(s.h**2 / s.nu)

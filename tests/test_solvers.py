@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -23,7 +24,15 @@ from saddlekit import (
     solve_with,
 )
 from saddlekit import solvers
-from saddlekit.solvers import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITERS
+from saddlekit.cli import CASE_MAP
+from saddlekit.solvers import (
+    BREAKDOWN,
+    CONVERGED,
+    DIVERGED,
+    INFEASIBLE,
+    MAX_ITERS,
+    STAGNATED,
+)
 
 
 def saddle(seed):
@@ -95,7 +104,7 @@ class TestGcp:
         s = saddle(7)
         first = gcp_iterate(s, default_pc(s))
         again = gcp_iterate(s, default_pc(s), SolveConfig(x0=first.x))
-        assert again.iterations <= 1
+        assert again.converged and again.iterations == 0
 
 
 class TestKrylov:
@@ -209,3 +218,40 @@ def test_gmres_overflow_is_divergence():
                enforce_pd=False)
     report = solve_with("gmres", s, pc)
     assert report.status == DIVERGED and not report.converged
+
+
+# sha256 of the residual-history bytes (then of x, when the report carries
+# one) on build_oseen(8, nu) with max_iters=400 and no PD gate: one case per
+# solver and way of ending, so every exit of the shared stopping path is
+# pinned to the bit, not only its step count.
+HISTORY_DIGESTS = [
+    ("gcp", 0.1, "I", 1.0, CONVERGED, 17,
+     "9ad08af332a295974a47a96d46c1c8bbdd208697e65db9c4539878ca75f0f7c4"),
+    ("gcp", 0.001, "I", 1.0, DIVERGED, 8,
+     "b995983d9140d040eadad1b6b8d405ef62423b5b49c59f648437ac2daee13612"),
+    ("gcp", 0.001, "II", 0.06, MAX_ITERS, 400,
+     "e89d2b81beceede127140bf72bd81e88c1226921fd4ba1616118186467c43914"),
+    ("gmres", 0.1, "I", 1.0, CONVERGED, 10,
+     "430d0aa8cbb00b82cb9dfa1f10eef35a754f51b2b385a08acf085b1278a796e6"),
+    ("gmres", 0.001, "IV", 0.9, STAGNATED, 9,
+     "023043b70bdf2789c66ff096df53c1a1030951297851c2b458e7bd6c5c8ed668"),
+    ("qmr", 0.001, "I", 1.0, CONVERGED, 57,
+     "e5c9979359410e5ea41e96df4b80e65c00e7bd4fa88a3c0c565eac4cd8d68d34"),
+    ("qmr", 0.001, "II", 0.9, BREAKDOWN, 132,
+     "6bd223d0a0e3f56e4387b22b07e96e9c6ad39aed51d0cc2ba7a10b955c91b3d8"),
+    ("stationary", 0.001, "V", 1.0, DIVERGED, 7,
+     "78163132eb29d5c7b80e69584d1268443be2d18b45e8ed5f9c3b009adb563800"),
+]
+
+
+@pytest.mark.parametrize("solver,nu,case,omega,status,iterations,digest", HISTORY_DIGESTS)
+def test_residual_history_pinned(solver, nu, case, omega, status, iterations, digest):
+    s = build_oseen(8, nu)
+    family, kind = CASE_MAP[case]
+    pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    report = solve_with(solver, s, pc, SolveConfig(max_iters=400))
+    assert (report.status, report.iterations) == (status, iterations)
+    h = hashlib.sha256(np.asarray(report.residual_history, dtype=float).tobytes())
+    if report.x is not None:
+        h.update(report.x.tobytes())
+    assert h.hexdigest() == digest
