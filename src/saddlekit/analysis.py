@@ -20,11 +20,10 @@ import scipy.linalg as sla
 from .linalg import (
     Array,
     DEFAULT_ONE_TOL,
-    DEFAULT_RANK_TOL,
     NotPositiveDefinite,
-    SvdFactors,
     cholesky,
     dense,
+    null_basis,
     numerical_rank,
     pseudospectral_radius,
     rank_of,
@@ -35,7 +34,7 @@ from .linalg import (
 )
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
                       Preconditioner, apply_pseudo_inverse)
-from .problems import SaddleSystem, split
+from .problems import SaddleSystem, saddle_null_basis, split
 
 NULL_ANGLE_TOL = 1e-8
 
@@ -73,28 +72,23 @@ def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner,
     return pseudospectral_radius(X @ (pc.P - dense(system.W)), one_tol)
 
 
-def _null_basis(f: SvdFactors, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
-    """Orthonormal basis of the null space from a full SVD."""
-    s = f.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return f.V
-    mask = np.concatenate([s <= rank_tol * s[0],
-                           np.ones(f.V.shape[1] - s.size, dtype=bool)])
-    return f.V[:, mask]
-
-
 def check_lemma4(system: SaddleSystem, pc: Preconditioner,
                  one_tol: float = DEFAULT_ONE_TOL) -> SpectralReport:
-    """Evaluate the three convergence conditions for T = I - M^+ A."""
+    """Evaluate the three convergence conditions for T = I - M^+ A.
+
+    null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
+    it under the premise sym(W) > 0, a subset otherwise, so the null-space
+    test can only be stricter than one against an SVD of A.
+    """
     if pc.family not in (CONSTRAINT, BLOCK_DIAG):
         raise ValueError("convergence conditions apply to the singular families")
     A = system.matrix()
     MdagA = apply_pseudo_inverse(pc, A)
     T = np.eye(A.shape[0]) - MdagA
 
-    NA = _null_basis(svd(A))
+    NA = saddle_null_basis(system)
     f = svd(MdagA)  # gives both the null space and the rank of M^+ A
-    NMA = _null_basis(f)
+    NMA = null_basis(f)
     if NA.shape[1] != NMA.shape[1]:
         null_ok = False
     elif NA.shape[1] == 0:
@@ -136,7 +130,8 @@ def projection_spectrum(system: SaddleSystem, pc: Preconditioner) -> tuple[int, 
         raise ValueError("projection spectrum requires a symmetric positive definite P")
     X = compute_X(system, pc)
     R = sym_sqrt(pc.P)
-    w = np.linalg.eigvalsh(0.5 * ((R @ X @ R) + (R @ X @ R).T))
+    RXR = R @ X @ R
+    w = np.linalg.eigvalsh(0.5 * (RXR + RXR.T))
     dev = np.minimum(np.abs(w), np.abs(w - 1.0))
     ones = int(np.count_nonzero(np.abs(w - 1.0) <= np.abs(w)))
     zeros = w.size - ones
@@ -164,9 +159,9 @@ def omega_bound_triangular(W: Array) -> float:
     """
     sp = split(W)
     cholesky(sp.H)  # SPD gate
-    lmax = float(np.linalg.eigvalsh(sp.H).max())
+    lmax = float(np.linalg.eigvalsh(sp.H).max())  # = ||H||_2, as H is SPD
     c = spectral_norm(sp.L_s)
-    if c < 1e-12 * max(spectral_norm(sp.H), 1.0):
+    if c < 1e-12 * max(lmax, 1.0):
         return 2.0 / lmax
     return (-lmax + math.sqrt(lmax**2 + 16.0 * c**2)) / (4.0 * c**2)
 

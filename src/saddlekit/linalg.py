@@ -53,14 +53,28 @@ class SvdFactors:
     V: Array
 
 
-def svd(A: Array) -> SvdFactors:
-    """Full singular value decomposition, singular values nonincreasing."""
+def _lapack_svd(A: Array, **kwargs):
     A = _as_matrix(A)
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
+        return np.linalg.svd(A, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge for {A.shape[0]}x{A.shape[1]} matrix") from exc
+
+
+def svd(A: Array) -> SvdFactors:
+    """Full singular value decomposition, singular values nonincreasing."""
+    U, s, Vt = _lapack_svd(A, full_matrices=True)
     return SvdFactors(U=U, singular_values=s, V=Vt.T)
+
+
+def null_basis(f: SvdFactors, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+    """Orthonormal basis of the null space from a full SVD."""
+    s = f.singular_values
+    if s.size == 0 or s[0] == 0.0:
+        return f.V
+    mask = np.concatenate([s <= rank_tol * s[0],
+                           np.ones(f.V.shape[1] - s.size, dtype=bool)])
+    return f.V[:, mask]
 
 
 def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
@@ -125,8 +139,8 @@ def spectral_norm(A: Array) -> float:
 
 
 def numerical_rank(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rank_tol * s_max``."""
-    return rank_of(svd(A).singular_values, rank_tol)
+    """Number of singular values above ``rank_tol * s_max``; no singular vectors are formed."""
+    return rank_of(_lapack_svd(A, compute_uv=False), rank_tol)
 
 
 def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -22,8 +22,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .linalg import Array, cholesky, dense, pinv, spectral_norm
+from .linalg import Array, LinAlgFailure, cholesky, dense, pinv, spectral_norm
 from .problems import SaddleSystem, split, symmetric_part
 
 CONSTRAINT = "constraint"
@@ -89,9 +90,17 @@ class Preconditioner:
 
 def _finite(x: Array) -> Array:
     # Factors are checked once, at build; each solve checks only its right-hand
-    # side, so LAPACK is called with check_finite=False on the same bytes.
+    # side before LAPACK sees it.
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
+    return x
+
+
+def _lapack(routine, *args, **kwargs) -> Array:
+    """One LAPACK solve; the right-hand side is copied, never overwritten."""
+    x, info = routine(*args, **kwargs)
+    if info != 0:
+        raise LinAlgFailure(f"LAPACK solve failed with info={info}")
     return x
 
 
@@ -100,11 +109,11 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
     W = system.W
     omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
-        # doubles as the SPD check on H; Fortran order, so cho_solve copies nothing
+        # doubles as the SPD check on H; Fortran order, so dpotrs copies nothing
         L = np.asfortranarray(cholesky(omega * symmetric_part(W)))
 
         def p_solve(x):
-            return sla.cho_solve((L, True), _finite(x), check_finite=False)
+            return _lapack(dpotrs, L, _finite(x), lower=1)
 
         return (lambda: omega * symmetric_part(W)), p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
@@ -118,15 +127,19 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
         n = W.shape[0]
         Fl = _finite(np.eye(n) + omega * sp.L_s)
         Fu = _finite(np.eye(n) + omega * sp.U_s)
+        # dtrtrs reads Fortran order, so it gets the transposes of the C-ordered
+        # factors (views, no copy): Fl y = x is solved as (Fl.T)^T y = x on the
+        # upper triangle of Fl.T with trans=1; the P^{-T} solves use trans=0
+        Flt, Fut = Fl.T, Fu.T
 
-        def tri(F, x, lower):
-            return sla.solve_triangular(F, _finite(x), lower=lower, check_finite=False)
+        def tri(Ft, x, lower, trans):
+            return _lapack(dtrtrs, Ft, _finite(x), lower=lower, trans=trans)
 
         def p_solve(x):
-            return omega * tri(Fu, tri(Fl, x, True), False)
+            return omega * tri(Fut, tri(Flt, x, 0, 1), 1, 1)
 
         def p_solve_t(x):
-            return omega * tri(Fl.T, tri(Fu.T, x, True), False)
+            return omega * tri(Flt, tri(Fut, x, 1, 0), 0, 0)
 
         return (lambda: (1.0 / omega) * (Fl @ Fu)), p_solve, p_solve_t
     P = np.asarray(p_choice.custom_p, dtype=float)

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import mmio
-from .linalg import Array, dense, svd
+from .linalg import DEFAULT_RANK_TOL, Array, dense, null_basis, svd
 
 DEFAULT_RANGE_TOL = 1e-10
 
@@ -111,6 +111,18 @@ class SaddleSystem:
     def with_rhs(self, b: Array) -> "SaddleSystem":
         return SaddleSystem(W=self.W, B=self.B, f=b[: self.n], g=b[self.n :],
                             l=self.l, nu=self.nu, raw_rhs=self.raw_rhs)
+
+
+def saddle_null_basis(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+    """Orthonormal basis of {0} x null(B^T), from one SVD of the n x m block B^T.
+
+    (0, y) with B^T y = 0 lies in the null space of A and of A^T.  When
+    sym(W) is positive definite these are the whole null spaces: A (u; p) = 0
+    gives u^T W u = -(B u)^T p = 0, so u = 0 and B^T p = 0, and likewise
+    for A^T.  Without that premise the basis spans a subspace of both.
+    """
+    N = null_basis(svd(system.B.T), rank_tol)
+    return np.vstack([np.zeros((system.n, N.shape[1])), N])
 
 
 def _velocity_ids(l: int, axis: int) -> Array:
@@ -216,20 +228,18 @@ def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
 
     ``manufactured``: b = A x* for a seeded pseudo-random x*.
     ``projected``: orthogonal projection of the raw assembled load onto
-    range(A), removing the left-null-space component found by SVD.
+    range(A), removing its component along the left null space
+    {0} x null(B^T) (all of it when sym(W) is positive definite).
     """
-    A = system.matrix()
     if mode == "manufactured":
         if x_star is None:
             rng = np.random.default_rng(seed)
             x_star = rng.standard_normal(system.n + system.m)
-        return A @ np.asarray(x_star, dtype=float)
+        return system.matrix() @ np.asarray(x_star, dtype=float)
     if mode == "projected":
         if system.raw_rhs is None:
             raise ValueError("system carries no raw load vector to project")
-        fac = svd(A)
-        s = fac.singular_values
-        null_left = fac.U[:, s <= DEFAULT_RANGE_TOL * s[0]]
+        null_left = saddle_null_basis(system, DEFAULT_RANGE_TOL)
         b = system.raw_rhs
         return b - null_left @ (null_left.T @ b)
     raise ValueError(f"unknown rhs mode {mode!r}")

@@ -265,3 +265,64 @@ def test_eigenvalue_real_parts_symmetric_p():
     lam = np.linalg.eigvals(X @ (pc.P - s.W))
     nonzero = lam[np.abs(lam) > 1e-8]
     assert np.allclose(nonzero.real, 1.0 - 1.0 / omega, atol=1e-6)
+
+
+def _lemma4_oracle(system, pc):
+    """check_lemma4 with the null space of A and the rank of (M^+ A)^2 from full SVDs."""
+    import scipy.linalg as sla
+    from saddlekit import apply_pseudo_inverse, pseudospectral_radius
+
+    def rank_and_null(M):
+        _, sv, Vt = np.linalg.svd(M)
+        keep = sv > 1e-12 * sv[0]
+        return int(keep.sum()), Vt.T[:, ~keep]
+
+    A = system.matrix()
+    MdagA = apply_pseudo_inverse(pc, A)
+    (_, NA), (rank, NMA) = rank_and_null(A), rank_and_null(MdagA)
+    if NA.shape[1] != NMA.shape[1]:
+        null_ok = False
+    else:
+        null_ok = NA.shape[1] == 0 or bool(sla.subspace_angles(NA, NMA).max() <= 1e-8)
+    gamma_T = pseudospectral_radius(np.eye(A.shape[0]) - MdagA)
+    constraint = pc.family == CONSTRAINT
+    symmetric = constraint and pc.p_choice.kind == "symmetric_scaled"
+    ones, zeros, _ = projection_spectrum(system, pc) if symmetric else (None, None, None)
+    return {"gamma_T": gamma_T,
+            "gamma_XPW": gcp_convergence_indicator(system, pc) if constraint else None,
+            "lemma4_null_ok": null_ok,
+            "lemma4_index_ok": rank == rank_and_null(MdagA @ MdagA)[0],
+            "lemma4_gamma_ok": bool(gamma_T < 1.0),
+            "projector_eig_ones": ones, "projector_eig_zeros": zeros,
+            "omega_used": pc.p_choice.omega}
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+@pytest.mark.parametrize("family,kind,omegas", [
+    (CONSTRAINT, "symmetric_scaled", (0.5, 1.2)),
+    (CONSTRAINT, "triangular_split", (0.005, 0.06)),
+    (BLOCK_DIAG, "symmetric_scaled", (0.04, 1.0)),
+    (BLOCK_DIAG, "triangular_split", (0.005, 0.06)),
+], ids=["I", "II", "III", "IV"])
+def test_check_lemma4_matches_full_svd_oracle(nu, family, kind, omegas):
+    s = build_oseen(8, nu)
+    for omega in omegas:
+        pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+        assert check_lemma4(s, pc).__dict__ == _lemma4_oracle(s, pc)
+
+
+def test_check_lemma4_takes_no_svd_of_a(monkeypatch):
+    s = build_oseen(8, 0.1)
+    pc = constraint_pc(s)
+    A = s.matrix()
+    seen = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    check_lemma4(s, pc)
+    assert seen  # the SVDs check_lemma4 does take go through the spy
+    assert not any(a.shape == A.shape and np.array_equal(a, A) for a in seen)

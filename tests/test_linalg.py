@@ -15,9 +15,11 @@ from saddlekit.linalg import (
     NotPositiveDefinite,
     cholesky,
     eigenvalues,
+    null_basis,
     numerical_rank,
     pinv,
     pseudospectral_radius,
+    rank_of,
     spectral_norm,
     svd,
     sym_inv_sqrt,
@@ -189,3 +191,22 @@ def test_spectral_norm_matches_svd(rng):
 def test_numerical_rank_exact():
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.eye(3)) == 3
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (12, 7), (6, 10)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_numerical_rank_matches_full_svd_rank(shape, seed):
+    # values-only SVD against the rank read from the full decomposition
+    g = np.random.default_rng(seed)
+    for r in range(min(shape) + 1):
+        A = g.standard_normal((shape[0], r)) @ g.standard_normal((r, shape[1]))
+        assert numerical_rank(A) == rank_of(svd(A).singular_values) == r
+
+
+def test_null_basis_spans_the_null_space(rng):
+    A = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    N = null_basis(svd(A))
+    assert N.shape == (6, 4)
+    assert np.allclose(N.T @ N, np.eye(4), atol=1e-12)
+    assert np.abs(A @ N).max() <= 1e-12 * np.abs(A).max()
+    assert null_basis(svd(np.zeros((2, 3)))).shape == (3, 3)

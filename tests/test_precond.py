@@ -171,3 +171,42 @@ def test_apply_rejects_wrong_length():
     pc = build(s, CONSTRAINT, PChoice())
     with pytest.raises(ValueError):
         apply_pseudo_inverse(pc, np.zeros(s.n))
+
+
+@pytest.mark.parametrize("kind,omega", [("symmetric_scaled", 0.7), ("triangular_split", 0.05),
+                                        ("triangular_split", 0.5), ("custom", None)])
+def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
+    # the direct LAPACK calls against the scipy.linalg calls they replace
+    import scipy.linalg as sla
+    from saddlekit.linalg import cholesky
+
+    s = oseen_8
+    W = s.W.toarray()
+    sp = split(W)
+    if kind == "symmetric_scaled":
+        L = np.asfortranarray(cholesky(omega * sp.H))
+        solve = solve_t = lambda x: sla.cho_solve((L, True), x)
+        choice = PChoice(kind=kind, omega=omega)
+    elif kind == "triangular_split":
+        Fl, Fu = np.eye(s.n) + omega * sp.L_s, np.eye(s.n) + omega * sp.U_s
+
+        def solve(x):
+            return omega * sla.solve_triangular(Fu, sla.solve_triangular(Fl, x, lower=True))
+
+        def solve_t(x):
+            return omega * sla.solve_triangular(Fl.T, sla.solve_triangular(Fu.T, x, lower=True))
+
+        choice = PChoice(kind=kind, omega=omega)
+    else:
+        P = W + np.eye(s.n)
+        lu = sla.lu_factor(P)
+        solve = lambda x: sla.lu_solve(lu, x)
+        solve_t = lambda x: sla.lu_solve(lu, x, trans=1)
+        choice = PChoice(kind=kind, custom_p=P)
+    pc = build(s, CONSTRAINT, choice, enforce_pd=False)
+    g = np.random.default_rng(5)
+    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
+        for got, want in ((pc.p_solve(x), solve(x)), (pc.p_solve_t(x), solve_t(x))):
+            assert got.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
@@ -13,7 +14,7 @@ from saddlekit import (
     split,
 )
 from saddlekit.linalg import numerical_rank
-from saddlekit.problems import export, wind_x, wind_y
+from saddlekit.problems import export, saddle_null_basis, wind_x, wind_y
 from saddlekit import mmio
 
 
@@ -155,3 +156,36 @@ def test_export_roundtrip(tmp_path):
     assert np.array_equal(mmio.read_coordinate(tmp_path / "W.mtx"), s.W.toarray())
     assert np.array_equal(mmio.read_coordinate(tmp_path / "B.mtx"), s.B.toarray())
     assert np.array_equal(mmio.read_vector(tmp_path / "f.mtx"), s.f)
+
+
+def _svd_null_spaces(A, rank_tol=1e-12):
+    """Right and left null spaces of A from its full SVD (the oracle)."""
+    U, s, Vt = np.linalg.svd(A)
+    mask = s <= rank_tol * s[0]
+    return Vt.T[:, mask], U[:, mask]
+
+
+@pytest.mark.parametrize("system", [
+    *[pytest.param(("random", drop, seed), id=f"random-rank-m-{drop}-{seed}")
+      for drop in (1, 2, 3) for seed in (0, 1)],
+    pytest.param(("oseen", 0.1), id="oseen8-0.1"),
+    pytest.param(("oseen", 0.001), id="oseen8-0.001"),
+])
+def test_saddle_null_basis_matches_svd_of_a(system):
+    if system[0] == "random":
+        _, drop, seed = system
+        s = build_random_singular(n=12, m=6, rank_b=6 - drop, seed=seed)
+    else:
+        s = build_oseen(8, system[1])
+    N = saddle_null_basis(s)
+    assert np.all(N[: s.n] == 0.0)
+    for oracle in _svd_null_spaces(s.matrix()):
+        assert N.shape[1] == oracle.shape[1] >= 1
+        assert sla.subspace_angles(N, oracle).max() <= 1e-10
+
+
+def test_projected_rhs_matches_svd_projection():
+    s = build_oseen(8, 0.1, rhs_mode="projected")
+    _, null_left = _svd_null_spaces(s.matrix(), 1e-10)
+    b = s.raw_rhs
+    assert np.allclose(s.rhs(), b - null_left @ (null_left.T @ b), rtol=0, atol=1e-12 * np.abs(b).max())
