@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
                       Preconditioner, apply_pseudo_inverse)
-from .problems import SaddleSystem, saddle_null_basis, split
+from .problems import SaddleSystem, lower_skew_part, saddle_null_basis, split, symmetric_part
 
 NULL_ANGLE_TOL = 1e-8
 
@@ -157,10 +157,10 @@ def omega_bound_triangular(W: Array) -> float:
     eigenvalue of H and c = ||L_s||_2; the analytic limit 2/lmax when the
     skew part vanishes.
     """
-    sp = split(W)
-    cholesky(sp.H)  # SPD gate
-    lmax = float(np.linalg.eigvalsh(sp.H).max())  # = ||H||_2, as H is SPD
-    c = spectral_norm(sp.L_s)
+    H = symmetric_part(W).toarray()
+    cholesky(H)  # SPD gate
+    lmax = float(np.linalg.eigvalsh(H).max())  # = ||H||_2, as H is SPD
+    c = spectral_norm(lower_skew_part(W))
     if c < 1e-12 * max(lmax, 1.0):
         return 2.0 / lmax
     return (-lmax + math.sqrt(lmax**2 + 16.0 * c**2)) / (4.0 * c**2)
@@ -168,7 +168,7 @@ def omega_bound_triangular(W: Array) -> float:
 
 def pd_bound(W: Array) -> float:
     """Positive-definiteness threshold 1/||L_s||_2 for the triangular-split P."""
-    c = spectral_norm(split(W).L_s)
+    c = spectral_norm(lower_skew_part(W))
     return math.inf if c == 0.0 else 1.0 / c
 
 

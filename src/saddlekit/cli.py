@@ -147,9 +147,17 @@ def resolve_solver(case: str, solver: str | None) -> str:
     return solver
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), its input-validation ValueError a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def build_case(system, case: str, omega: float, enforce_pd: bool = False):
     family, kind = CASE_MAP[case]
-    return build(system, family, PChoice(kind=kind, omega=omega),
+    return build(system, family, _checked(PChoice, kind=kind, omega=omega),
                  enforce_pd=enforce_pd)
 
 
@@ -235,10 +243,7 @@ def _report_text(report, fmt: str) -> str:
 
 
 def cmd_gen(args) -> int:
-    try:
-        system = build_oseen(args.l, args.nu, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     meta = export(system, args.out)
     print(json.dumps(meta))
     return EXIT_OK
@@ -246,7 +251,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     solver = resolve_solver(args.case, args.solver)
-    system = build_oseen(args.l, args.nu, seed=args.seed)
+    system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     pc = build_case(system, args.case, args.omega)
     cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
     report = solve_with(solver, system, pc, cfg, case_label=args.case)
@@ -260,7 +265,7 @@ def cmd_sweep(args) -> int:
     solver = resolve_solver(args.case, args.solver)
     grid = parse_omega_grid(args.omega_grid)
     check_threads()
-    system = build_oseen(args.l, args.nu, seed=args.seed)
+    system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     family, kind = CASE_MAP[args.case]
     cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
     reports = omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
@@ -291,7 +296,7 @@ def cmd_analyze(args) -> int:
     if args.l > 16:
         raise UsageError("analyze is limited to l <= 16 (dense spectral cost)")
     family, kind = CASE_MAP[args.case]
-    system = build_oseen(args.l, args.nu, seed=args.seed)
+    system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     try:
         pc = build_case(system, args.case, args.omega, enforce_pd=True)
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Dense linear algebra kernels used across the package.
 
 Everything here computes on plain ``numpy.ndarray`` carriers (real, dense,
-row-major); a ``scipy.sparse`` argument is densified first.  Factorizations
+row-major); a ``scipy.sparse`` argument is densified first (``cholesky``
+checks it on its stored entries before that).  Factorizations
 are delegated to LAPACK through numpy; the wrappers pin down the
 rank-truncation and tolerance conventions the rest of the package relies on.
 """
@@ -96,14 +97,22 @@ def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
 def cholesky(A: Array) -> Array:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Failure of the factorization doubles as the runtime SPD test.
+    A ``scipy.sparse`` A is checked on its stored entries, in O(nnz), and
+    densified only for LAPACK.  Failure of the factorization doubles as the
+    runtime SPD test.
     """
-    A = _as_matrix(A)
-    scale = np.abs(A).max()
-    if scale > 0 and np.abs(A - A.T).max() > 1e-12 * scale:
+    if sps.issparse(A):
+        if not np.isfinite(A.data).all():
+            raise ValueError("matrix has non-finite entries")
+        entries, asym = A.data, (A - A.T).data
+    else:
+        A = _as_matrix(A)
+        entries, asym = A, A - A.T
+    scale = np.abs(entries).max(initial=0.0)
+    if scale > 0 and np.abs(asym).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     try:
-        return np.linalg.cholesky(A)
+        return np.linalg.cholesky(dense(A))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix not positive definite") from exc
 

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .linalg import Array, LinAlgFailure, cholesky, dense, pinv, spectral_norm
-from .problems import SaddleSystem, split, symmetric_part
+from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
 
 CONSTRAINT = "constraint"
 BLOCK_DIAG = "block_diag"
@@ -109,39 +109,47 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
     W = system.W
     omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
+        P = omega * symmetric_part(W)
         # doubles as the SPD check on H; Fortran order, so dpotrs copies nothing
-        L = np.asfortranarray(cholesky(omega * symmetric_part(W)))
+        L = np.asfortranarray(cholesky(P))
 
         def p_solve(x):
             return _lapack(dpotrs, L, _finite(x), lower=1)
 
-        return (lambda: omega * symmetric_part(W)), p_solve, p_solve
+        return P.toarray, p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
-        sp = split(W)
         if enforce_pd:
-            norm_ls = spectral_norm(sp.L_s)
+            norm_ls = spectral_norm(lower_skew_part(W))
             if norm_ls > 0 and omega >= 1.0 / norm_ls:
                 raise ValueError(
                     f"triangular-split P is not positive definite: omega={omega:g} "
                     f">= 1/||L_s||_2 = {1.0 / norm_ls:g}")
-        n = W.shape[0]
-        Fl = _finite(np.eye(n) + omega * sp.L_s)
-        Fu = _finite(np.eye(n) + omega * sp.U_s)
-        # dtrtrs reads Fortran order, so it gets the transposes of the C-ordered
-        # factors (views, no copy): Fl y = x is solved as (Fl.T)^T y = x on the
-        # upper triangle of Fl.T with trans=1; the P^{-T} solves use trans=0
-        Flt, Fut = Fl.T, Fu.T
+        # one array F = I + omega S holds both factors: its lower triangle is
+        # Fl = I + omega L_s and its upper triangle Fu = I + omega U_s
+        F = skew_part(W).toarray()
+        F *= omega
+        np.fill_diagonal(F, 1.0)
+        _finite(F)
+        # dtrtrs reads Fortran order, so it gets F.T (a view, no copy): Fl y = x
+        # is solved as (Fl.T)^T y = x on the upper triangle of F.T with trans=1,
+        # Fu on its lower triangle; the P^{-T} solves use trans=0
+        Ft = F.T
 
-        def tri(Ft, x, lower, trans):
+        def tri(x, lower, trans):
             return _lapack(dtrtrs, Ft, _finite(x), lower=lower, trans=trans)
 
         def p_solve(x):
-            return omega * tri(Fut, tri(Flt, x, 0, 1), 1, 1)
+            return omega * tri(tri(x, 0, 1), 1, 1)
 
         def p_solve_t(x):
-            return omega * tri(Flt, tri(Fut, x, 1, 0), 0, 0)
+            return omega * tri(tri(x, 1, 0), 0, 0)
 
-        return (lambda: (1.0 / omega) * (Fl @ Fu)), p_solve, p_solve_t
+        def make_p():
+            P = np.tril(F) @ np.triu(F)
+            P *= 1.0 / omega
+            return P
+
+        return make_p, p_solve, p_solve_t
     P = np.asarray(p_choice.custom_p, dtype=float)
     lu = sla.lu_factor(P)
     return ((lambda: P),

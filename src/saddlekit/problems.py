@@ -46,20 +46,27 @@ class Splitting:
     U_s: Array
 
 
-def symmetric_part(W: Array) -> Array:
-    """H = (W + W^T) / 2, dense."""
-    W = dense(W)
+def symmetric_part(W) -> sps.csr_array:
+    """H = (W + W^T) / 2, as CSR."""
+    W = sps.csr_array(W)
     return 0.5 * (W + W.T)
 
 
-def split(W: Array) -> Splitting:
-    """W = H + S with H symmetric, S skew; L_s/U_s the strict triangles of S."""
-    W = dense(W)
-    H = symmetric_part(W)
-    S = 0.5 * (W - W.T)
-    L_s = np.tril(S, -1)
-    U_s = np.triu(S, 1)
-    return Splitting(H=H, S=S, L_s=L_s, U_s=U_s)
+def skew_part(W) -> sps.csr_array:
+    """S = (W - W^T) / 2, as CSR."""
+    W = sps.csr_array(W)
+    return 0.5 * (W - W.T)
+
+
+def lower_skew_part(W) -> sps.csr_array:
+    """L_s, the strict lower triangle of S, as CSR."""
+    return sps.tril(skew_part(W), -1, format="csr")
+
+
+def split(W) -> Splitting:
+    """W = H + S with H symmetric, S skew; L_s/U_s the strict triangles of S (all dense)."""
+    S = skew_part(W).toarray()
+    return Splitting(H=symmetric_part(W).toarray(), S=S, L_s=np.tril(S, -1), U_s=np.triu(S, 1))
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,8 @@ class SaddleSystem:
         for name in ("W", "B"):
             M = getattr(self, name)
             if not isinstance(M, sps.csr_array):
-                object.__setattr__(self, name, sps.csr_array(dense(M)))
+                M = sps.csr_array(M, dtype=float) if sps.issparse(M) else sps.csr_array(dense(M))
+                object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -98,11 +106,11 @@ class SaddleSystem:
 
     def matrix(self) -> Array:
         """Assemble the dense (n+m) x (n+m) coefficient matrix."""
-        n, m = self.n, self.m
-        A = np.zeros((n + m, n + m))
-        A[:n, :n] = self.W.toarray()
-        A[:n, n:] = self.B.T.toarray()
-        A[n:, :n] = -self.B.toarray()
+        n = self.n
+        A = sps.block_array([[self.W, self.B.T], [self.B, None]]).toarray()
+        # negate the dense block rather than B, so that its zeros read -0.0:
+        # the pinned iterates and verdicts were computed from these bytes
+        np.negative(A[n:, :n], out=A[n:, :n])
         return A
 
     def rhs(self) -> Array:
@@ -137,14 +145,15 @@ def _velocity_ids(l: int, axis: int) -> Array:
 
 
 def _momentum(l: int, nu: float, axis: int):
-    """Momentum block and load of one velocity component (axis 0: u, 1: v).
+    """Momentum block (CSR) and load of one velocity component (axis 0: u, 1: v).
 
     A 5-point viscous stencil plus the averaged-coefficient centred
     convective stencil.  A neighbour beyond a wall normal to the component's
     axis is a wall node: its value is 0 and the entry is dropped.  One beyond
     a wall parallel to it is the ghost reflection 2g - u, with lid data g = 1
-    for u on y = 1 and g = 0 elsewhere.  Entries accumulate in a fixed order
-    (viscous W, E, S, N, then convective E, W, N, S).
+    for u on y = 1 and g = 0 elsewhere.  The diagonal accumulates in a fixed
+    order (viscous W, E, S, N, then convective E, W, N, S); each neighbour
+    entry is the viscous -nu/h^2 plus its convective coefficient.
     """
     h = 1.0 / l
     visc = nu / h**2
@@ -162,45 +171,53 @@ def _momentum(l: int, nu: float, axis: int):
             "W": -((a0 + wind_x(x - h, y)) / (4.0 * h)),
             "N": (b0 + wind_y(x, y + h)) / (4.0 * h),
             "S": -((b0 + wind_y(x, y - h)) / (4.0 * h))}
-    F = np.zeros((k.size, k.size))
+    diag = np.full(k.size, 4.0 * visc)
     f = np.zeros(k.size)
-    F[k, k] = 4.0 * visc
 
-    def couple(d, coef):
+    def fold(d, coef):
+        # a ghost 2g - u folds into the diagonal and the load
         nb, normal_wall = nbrs[d]
-        inside = nb >= 0
-        F[k[inside], nb[inside]] += coef[inside]
-        if not normal_wall:  # the ghost 2g - u folds into the diagonal and the load
-            ghost, c = k[~inside], coef[~inside]
-            F[ghost, ghost] -= c
+        if not normal_wall:
+            ghost, c = k[nb < 0], coef[nb < 0]
+            diag[ghost] -= c
             if axis == 0 and d == "N":  # lid data g = 1
                 f[ghost] -= 2.0 * c
 
     for d in "WESN":
-        couple(d, np.full(x.shape, -visc))
+        fold(d, np.full(x.shape, -visc))
     for d in "EWNS":
-        couple(d, conv[d])
+        fold(d, conv[d])
+    rows, cols, vals = [k.ravel()], [k.ravel()], [diag]
+    for d, (nb, _) in nbrs.items():
+        inside = nb >= 0
+        rows.append(k[inside])
+        cols.append(nb[inside])
+        vals.append(-visc + conv[d][inside])
+    F = sps.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(k.size, k.size))
     return F, f
 
 
 def _assemble_oseen(l: int, nu: float):
+    """W and B as CSR, with the raw load (f, g)."""
     h = 1.0 / l
     n_u = l * (l - 1)
     # discrete divergence scaled so that B^T is the pressure gradient: a face
     # gets +1/h from the cell on its high side and -1/h from the one below
     cells = np.arange(l * l).reshape(l, l)
     ku, kv = _velocity_ids(l, 0), n_u + _velocity_ids(l, 1)
-    B = np.zeros((l * l, 2 * n_u))
-    B[cells[:, 1:], ku] = 1.0 / h
-    B[cells[:, :-1], ku] = -1.0 / h
-    B[cells[1:, :], kv] = 1.0 / h
-    B[cells[:-1, :], kv] = -1.0 / h
+    rows = [cells[:, 1:], cells[:, :-1], cells[1:, :], cells[:-1, :]]
+    cols = [ku, ku, kv, kv]
+    vals = [np.full(r.size, sign / h) for r, sign in zip(rows, (1.0, -1.0, 1.0, -1.0))]
+    B = sps.csr_array((np.concatenate(vals),
+                       (np.concatenate([r.ravel() for r in rows]),
+                        np.concatenate([c.ravel() for c in cols]))),
+                      shape=(l * l, 2 * n_u))
 
     F1, f1 = _momentum(l, nu, 0)
     F2, f2 = _momentum(l, nu, 1)
-    W = np.zeros((2 * n_u, 2 * n_u))
-    W[:n_u, :n_u] = F1
-    W[n_u:, n_u:] = F2
+    W = sps.block_diag((F1, F2), format="csr")
+    W.eliminate_zeros()  # as a dense block converted to CSR would store it
     return W, B, np.concatenate([f1, f2]), np.zeros(l * l)
 
 

@@ -166,3 +166,28 @@ def test_bad_thread_count_usage(capsys, monkeypatch, argv):
 def test_table_grid_guard(capsys):
     code, _, err = run(capsys, "table", "2", "-l", "8")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--case", "I", "-l", "2", "--omega", "1.0"),
+    ("solve", "--case", "I", "-l", "4", "--nu", "-1", "--omega", "1.0"),
+    ("solve", "--case", "I", "-l", "4", "--omega", "0"),
+    ("sweep", "--case", "I", "-l", "2", "--omega-grid", "1:1:1"),
+    ("sweep", "--case", "I", "-l", "4", "--nu", "-1", "--omega-grid", "1:1:1"),
+    ("analyze", "--case", "I", "-l", "2", "--omega", "1.0"),
+    ("analyze", "--case", "I", "-l", "4", "--nu", "-1", "--omega", "1.0"),
+], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu"])
+def test_bad_input_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("saddlekit: error:")
+
+
+def test_internal_value_error_not_a_usage_error(capsys, monkeypatch):
+    # only the input-validating calls are wrapped; a fault deeper down still raises
+    def broken(*args, **kwargs):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "solve_with", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["solve", "--case", "I", "-l", "4", "--omega", "1.0"])

@@ -1,14 +1,19 @@
 """The block pseudoinverse formulas against SVD oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dtrtrs
 
 from saddlekit import (
     BLOCK_DIAG,
     BLOCK_TRI,
     CONSTRAINT,
+    NotPositiveDefinite,
     PChoice,
+    SaddleSystem,
     apply_pseudo_inverse,
     apply_pseudo_inverse_transpose,
     assemble,
@@ -210,3 +215,80 @@ def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
             assert got.shape == x.shape
             assert got.tobytes() == want.tobytes()
 
+
+def _two_array_solves(system, omega):
+    """P^{-1} and P^{-T} through separately formed Fl and Fu (the reference)."""
+    sp = split(system.W)
+    I = np.eye(system.n)
+    Fl, Fu = I + omega * sp.L_s, I + omega * sp.U_s
+
+    def tri(F, x, lower, trans):
+        y, info = dtrtrs(F, x, lower=lower, trans=trans)
+        assert info == 0
+        return y
+
+    def solve(x):
+        return omega * tri(Fu.T, tri(Fl.T, x, 0, 1), 1, 1)
+
+    def solve_t(x):
+        return omega * tri(Fl.T, tri(Fu.T, x, 1, 0), 0, 0)
+
+    return solve, solve_t
+
+
+@pytest.mark.parametrize("system", [
+    *[pytest.param((l, nu, omega), id=f"oseen{l}-{nu}-{omega}")
+      for l in (8, 16) for nu in (0.1, 0.001) for omega in (0.05, 0.5)],
+    pytest.param(("random", 0.3), id="random"),
+])
+def test_one_factor_array_matches_two(system):
+    # F = I + omega S holds Fl and Fu in its two triangles; the solves must not move a bit
+    if system[0] == "random":
+        s, omega = build_random_singular(n=30, m=12, rank_b=10, seed=4), system[1]
+    else:
+        l, nu, omega = system
+        s = build_oseen(l, nu)
+    pc = build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
+    solve, solve_t = _two_array_solves(s, omega)
+    g = np.random.default_rng(9)
+    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
+        assert pc.p_solve(x).tobytes() == solve(x).tobytes()
+        assert pc.p_solve_t(x).tobytes() == solve_t(x).tobytes()
+
+
+def test_triangular_build_keeps_one_square_array():
+    s = build_oseen(16, 0.001)
+    square = 8 * s.n * s.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pc = build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=0.05))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = pc.B.nbytes + pc.E.nbytes + pc.E_pinv.nbytes
+    # one n x n array (F) beyond B, E and E^+, with room for small objects
+    assert kept - base - own <= square + 64 * 1024
+    # the highest point is the PD gate's SVD of L_s, before F exists
+    assert peak - base - own <= 2.5 * square
+
+
+@pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split"])
+@pytest.mark.parametrize("enforce_pd", [True, False])
+def test_non_finite_w_rejected(kind, enforce_pd):
+    s = saddle(7)
+    W = s.W.toarray()
+    W[0, 1] = np.nan
+    bad = SaddleSystem(W=W, B=s.B, f=s.f, g=s.g)
+    with pytest.raises(ValueError):
+        build(bad, CONSTRAINT, PChoice(kind=kind, omega=0.1), enforce_pd=enforce_pd)
+
+
+def test_indefinite_h_rejected():
+    s = saddle(8)
+    W = s.W.toarray()
+    W[0, 0] = -np.abs(W).sum()  # a negative diagonal entry of H
+    bad = SaddleSystem(W=W, B=s.B, f=s.f, g=s.g)
+    for family in FAMILIES:
+        with pytest.raises(NotPositiveDefinite):
+            build(bad, family, PChoice(kind="symmetric_scaled"))

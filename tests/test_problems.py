@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
@@ -14,7 +16,7 @@ from saddlekit import (
     split,
 )
 from saddlekit.linalg import numerical_rank
-from saddlekit.problems import export, saddle_null_basis, wind_x, wind_y
+from saddlekit.problems import _assemble_oseen, export, saddle_null_basis, wind_x, wind_y
 from saddlekit import mmio
 
 
@@ -189,3 +191,48 @@ def test_projected_rhs_matches_svd_projection():
     _, null_left = _svd_null_spaces(s.matrix(), 1e-10)
     b = s.raw_rhs
     assert np.allclose(s.rhs(), b - null_left @ (null_left.T @ b), rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+def test_assembly_forms_no_dense_block():
+    l = 32
+    n_u = l * (l - 1)
+    for nu in (0.1, 0.001):
+        tracemalloc.start()
+        try:
+            W, B, _, _ = _assemble_oseen(l, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(W, sps.csr_array) and isinstance(B, sps.csr_array)
+        # not even one n_u x n_u velocity block, a quarter of W
+        assert peak < 8 * n_u * n_u
+
+
+@pytest.mark.parametrize("convert", [sps.coo_array, sps.csc_array, sps.csr_matrix],
+                         ids=["coo_array", "csc_array", "csr_matrix"])
+def test_sparse_blocks_not_densified(convert, monkeypatch):
+    ref = build_oseen(4, 0.1)
+    W, B = ref.W.toarray(), ref.B.toarray()
+    expected = SaddleSystem(W=W, B=B, f=ref.f, g=ref.g)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("sparse input expanded to a dense array")
+
+    monkeypatch.setattr(convert, "toarray", refuse)
+    s = SaddleSystem(W=convert(W), B=convert(B), f=ref.f, g=ref.g)
+    monkeypatch.undo()
+    for got, want in ((s.W, expected.W), (s.B, expected.B)):
+        assert isinstance(got, sps.csr_array)
+        assert got.toarray().tobytes() == want.toarray().tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+def test_matrix_bytes_match_blockwise_fill(nu):
+    # the reference fills A block by block; its (2,1) zeros are -0.0
+    for s in (build_oseen(8, nu), build_random_singular(n=10, m=5, rank_b=4, seed=3)):
+        n, m = s.n, s.m
+        A = np.zeros((n + m, n + m))
+        A[:n, :n] = s.W.toarray()
+        A[:n, n:] = s.B.T.toarray()
+        A[n:, :n] = -s.B.toarray()
+        assert s.matrix().tobytes() == A.tobytes()
