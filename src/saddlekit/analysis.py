@@ -183,7 +183,8 @@ def norm_certificates(system: SaddleSystem, pc: Preconditioner) -> tuple[float, 
         raise ValueError("norm certificates apply to the triangular-split constraint P")
     if pc.p_choice.omega >= omega_bound_triangular(system.W):
         raise ValueError("omega is outside the certified triangular-split range")
-    P_H = 0.5 * (pc.P + pc.P.T)
+    P = pc.P
+    P_H = 0.5 * (P + P.T)
     try:
         Rh = sym_sqrt(P_H)
         Rinv = sym_inv_sqrt(P_H)
@@ -191,5 +192,5 @@ def norm_certificates(system: SaddleSystem, pc: Preconditioner) -> tuple[float, 
         raise ValueError("symmetric part of P is not positive definite") from exc
     X = compute_X(system, pc)
     x_norm = spectral_norm(Rh @ X @ Rh)
-    pw_norm = spectral_norm(Rinv @ (pc.P - dense(system.W)) @ Rinv)
+    pw_norm = spectral_norm(Rinv @ (P - dense(system.W)) @ Rinv)
     return x_norm, pw_norm

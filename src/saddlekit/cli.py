@@ -25,6 +25,7 @@ from .analysis import (
     omega_bound_triangular,
     pd_bound,
 )
+from .linalg import NotPositiveDefinite
 from .precond import (
     BLOCK_DIAG,
     BLOCK_TRI,
@@ -155,10 +156,25 @@ def _checked(make, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _premised(system, make, *args, **kwargs):
+    """make(*args, **kwargs), a NotPositiveDefinite from an indefinite sym(W) a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except NotPositiveDefinite as exc:
+        raise UsageError(
+            f"the premise sym(W) > 0 fails on the l={system.l} grid at nu={system.nu:g} "
+            f"({exc}); use a finer grid or a larger nu") from exc
+
+
+def _solve_config(args) -> SolveConfig:
+    return _checked(SolveConfig, tol=args.tol, max_iters=args.max_iters,
+                    restart=args.restart)
+
+
 def build_case(system, case: str, omega: float, enforce_pd: bool = False):
     family, kind = CASE_MAP[case]
-    return build(system, family, _checked(PChoice, kind=kind, omega=omega),
-                 enforce_pd=enforce_pd)
+    return _premised(system, build, system, family,
+                     _checked(PChoice, kind=kind, omega=omega), enforce_pd=enforce_pd)
 
 
 def _common_flags(p: argparse.ArgumentParser, need_case: bool = True):
@@ -251,9 +267,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     solver = resolve_solver(args.case, args.solver)
+    cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     pc = build_case(system, args.case, args.omega)
-    cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
     report = solve_with(solver, system, pc, cfg, case_label=args.case)
     _emit(_report_text(report, args.format), args.out)
     if report.converged:
@@ -265,9 +281,9 @@ def cmd_sweep(args) -> int:
     solver = resolve_solver(args.case, args.solver)
     grid = parse_omega_grid(args.omega_grid)
     check_threads()
+    cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     family, kind = CASE_MAP[args.case]
-    cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
     reports = omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
                           case_label=args.case, enforce_pd=False)
     reports.sort(key=lambda r: r.omega)
@@ -302,9 +318,9 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     bounds = {
-        "omega_bound_symmetric": omega_bound_symmetric(system.W),
-        "omega_bound_triangular": omega_bound_triangular(system.W),
-        "pd_bound": pd_bound(system.W),
+        "omega_bound_symmetric": _premised(system, omega_bound_symmetric, system.W),
+        "omega_bound_triangular": _premised(system, omega_bound_triangular, system.W),
+        "pd_bound": _premised(system, pd_bound, system.W),
     }
     if family == BLOCK_TRI:
         payload = {"case": args.case, "omega": args.omega, "note":
@@ -365,7 +381,7 @@ def cmd_table(args) -> int:
     if args.l not in (16, 32):
         raise UsageError("published omegas are tabulated for l in {16, 32}")
     check_threads()
-    cfg = SolveConfig(tol=args.tol, max_iters=args.max_iters, restart=args.restart)
+    cfg = _solve_config(args)
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
     buf = io.StringIO()
     w = csv.writer(buf)

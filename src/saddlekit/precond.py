@@ -18,13 +18,12 @@ omega < 1 / ||L_s||_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .linalg import Array, LinAlgFailure, cholesky, dense, pinv, spectral_norm
+from .linalg import Array, LinAlgFailure, cholesky, pinv, spectral_norm
 from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
 
 CONSTRAINT = "constraint"
@@ -57,8 +56,10 @@ class PChoice:
 class Preconditioner:
     """Factorized preconditioner; immutable after :func:`build`.
 
-    The applies use only the factors of P, so P itself is formed on first
-    use (by :func:`assemble`, the analysis and tests).
+    It keeps what its applies read: the factor of P, E^+ for the singular
+    families, and the system's shared read-only dense B.  E, the (2,2)
+    block of M_b, is kept by the block-diagonal family only.  P itself is
+    formed anew on each read (by :func:`assemble`, the analysis and tests).
     """
 
     def __init__(self, family, p_choice, make_p, p_solve, p_solve_t, B,
@@ -74,9 +75,9 @@ class Preconditioner:
         self.h_sq_over_nu = h_sq_over_nu
         self.m, self.n = B.shape
 
-    @cached_property
+    @property
     def P(self) -> Array:
-        """The dense (1,1) block."""
+        """The dense (1,1) block, formed on each read and never kept."""
         return self._make_p()
 
     def p_solve(self, x: Array) -> Array:
@@ -159,7 +160,7 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
 
 def build(system: SaddleSystem, family: str, p_choice: PChoice,
           enforce_pd: bool = True) -> Preconditioner:
-    """Factorize P, assemble E = B P^{-1} B^T and cache its pseudoinverse.
+    """Factorize P, assemble E = B P^{-1} B^T and keep its pseudoinverse.
 
     The (2,2) block of the block-triangular family is h^2/nu times I, from
     the system's grid metadata, or I for a system without it.
@@ -172,7 +173,7 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     if family not in FAMILIES:
         raise ValueError(f"unknown preconditioner family {family!r}")
     make_p, p_solve, p_solve_t = _p_factorization(system, p_choice, enforce_pd)
-    B = dense(system.B)
+    B = system.dense_B()
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu
@@ -183,7 +184,7 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     E = B @ p_solve(B.T)
     E_pinv = pinv(E)
     return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
-                          E=E, E_pinv=E_pinv)
+                          E=E if family == BLOCK_DIAG else None, E_pinv=E_pinv)
 
 
 def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:

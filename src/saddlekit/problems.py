@@ -16,6 +16,7 @@ matrix is singular.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +85,8 @@ class SaddleSystem:
     l: int | None = None
     nu: float | None = None
     raw_rhs: Array | None = field(default=None, repr=False)
+    _dense_B_ref: weakref.ref | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         for name in ("W", "B"):
@@ -103,6 +106,21 @@ class SaddleSystem:
     @property
     def h(self) -> float | None:
         return None if self.l is None else 1.0 / self.l
+
+    def dense_B(self) -> Array:
+        """B as one read-only dense array, shared by every caller while one holds it.
+
+        The system keeps only a weak reference, so the array is freed with
+        its last holder: a strong cache would pin it, and an l=32 B (16 MB)
+        kept alive between builds fragments the heap.  Two threads racing
+        here can each form a copy; both are correct.
+        """
+        B = None if self._dense_B_ref is None else self._dense_B_ref()
+        if B is None:
+            B = self.B.toarray()
+            B.flags.writeable = False
+            object.__setattr__(self, "_dense_B_ref", weakref.ref(B))
+        return B
 
     def matrix(self) -> Array:
         """Assemble the dense (n+m) x (n+m) coefficient matrix."""

@@ -15,6 +15,7 @@ from saddlekit.cli import (
 )
 from saddlekit import cli
 from saddlekit.cli import UsageError
+from saddlekit.linalg import NotPositiveDefinite
 
 
 def run(capsys, *argv):
@@ -190,4 +191,45 @@ def test_internal_value_error_not_a_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "solve_with", broken)
     with pytest.raises(ValueError, match="not an input error"):
+        main(["solve", "--case", "I", "-l", "4", "--omega", "1.0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--case", "I", "-l", "4", "--omega", "1", "--tol", "-1"),
+    ("solve", "--case", "I", "-l", "4", "--omega", "1", "--max-iters", "0"),
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "1:1:1", "--restart", "0"),
+    ("table", "2", "-l", "16", "--tol", "-1"),
+], ids=["solve-tol", "solve-max-iters", "sweep-restart", "table-tol"])
+def test_bad_solve_config_usage_error(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before validating the solve configuration")
+
+    monkeypatch.setattr(cli, "build_oseen", no_work)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "invalid solve configuration" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--case", "I", "-l", "4", "--nu", "0.001", "--omega", "1"),
+    ("analyze", "--case", "I", "-l", "4", "--nu", "0.001", "--omega", "1"),
+    ("solve", "--case", "III", "-l", "5", "--nu", "0.001", "--omega", "1"),
+    # case II builds without H's Cholesky factor; the omega bounds need it
+    ("analyze", "--case", "II", "-l", "4", "--nu", "0.001", "--omega", "0.01"),
+], ids=["solve-I-l4", "analyze-I-l4", "solve-III-l5", "analyze-II-bounds"])
+def test_indefinite_sym_w_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    l = argv[argv.index("-l") + 1]
+    assert "sym(W) > 0" in err
+    assert f"l={l}" in err and "nu=0.001" in err
+
+
+def test_not_positive_definite_from_solver_propagates(monkeypatch):
+    # only the build and the bounds are wrapped; a solver fault still raises
+    def broken(*args, **kwargs):
+        raise NotPositiveDefinite("not an input error")
+
+    monkeypatch.setattr(cli, "solve_with", broken)
+    with pytest.raises(NotPositiveDefinite, match="not an input error"):
         main(["solve", "--case", "I", "-l", "4", "--omega", "1.0"])

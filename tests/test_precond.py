@@ -1,6 +1,9 @@
 """The block pseudoinverse formulas against SVD oracles."""
 
+import gc
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from saddlekit import (
 from saddlekit import precond
 from saddlekit.analysis import pd_bound
 from saddlekit.linalg import pinv
-from saddlekit.precond import FAMILIES
+from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from saddlekit.problems import split
 
 
@@ -266,8 +269,8 @@ def test_triangular_build_keeps_one_square_array():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    own = pc.B.nbytes + pc.E.nbytes + pc.E_pinv.nbytes
-    # one n x n array (F) beyond B, E and E^+, with room for small objects
+    own = pc.B.nbytes + pc.E_pinv.nbytes
+    # one n x n array (F) beyond B and E^+, with room for small objects
     assert kept - base - own <= square + 64 * 1024
     # the highest point is the PD gate's SVD of L_s, before F exists
     assert peak - base - own <= 2.5 * square
@@ -292,3 +295,107 @@ def test_indefinite_h_rejected():
     for family in FAMILIES:
         with pytest.raises(NotPositiveDefinite):
             build(bad, family, PChoice(kind="symmetric_scaled"))
+
+
+def _six_builds(s):
+    # cases I-VI: the three families x both P kinds, at omegas inside each P's range
+    return [build(s, family, PChoice(kind=kind, omega=0.5 if kind == SYMMETRIC_SCALED else 0.05),
+                  enforce_pd=False)
+            for family in FAMILIES for kind in (SYMMETRIC_SCALED, TRIANGULAR_SPLIT)]
+
+
+def test_builds_share_one_read_only_dense_b():
+    s = build_oseen(16, 0.001)
+    pcs = _six_builds(s)
+    B = pcs[0].B
+    assert all(pc.B is B for pc in pcs)
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+    assert B.tobytes() == s.B.toarray().tobytes()
+
+
+def test_dense_b_freed_with_its_last_holder():
+    s = build_oseen(16, 0.1)
+    pcs = _six_builds(s)
+    ref = s._dense_B_ref
+    old = pcs[0].B.tobytes()
+    assert ref() is pcs[0].B
+    del pcs
+    gc.collect()
+    assert ref() is None  # the system alone does not keep B alive
+    B = s.dense_B()
+    assert B.tobytes() == old
+    assert s.dense_B() is B
+
+
+def test_dense_b_under_threads():
+    # a race may form more than one copy; every caller must still get a correct, read-only B
+    s = build_oseen(8, 0.1)
+    want = s.B.toarray().tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: s.dense_B(), range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 64
+    assert all(B.tobytes() == want and not B.flags.writeable for B in got)
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_e_kept_by_block_diag_only(family, kind):
+    s = build_oseen(8, 0.001)
+    pc = build(s, family, PChoice(kind=kind, omega=0.05), enforce_pd=False)
+    if family != BLOCK_DIAG:
+        assert pc.E is None
+        return
+    B = s.B.toarray()
+    assert pc.E.tobytes() == (B @ pc.p_solve(B.T)).tobytes()
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+def test_p_formed_on_each_read(kind):
+    s = build_oseen(8, 0.1)
+    pc = build(s, CONSTRAINT, PChoice(kind=kind, omega=0.05))
+    first, second = pc.P, pc.P
+    assert first is not second
+    assert first.tobytes() == second.tobytes()
+    assert "P" not in vars(pc)
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assemble_matches_inline_blocks(family, kind):
+    s = build_oseen(8, 0.001)
+    pc = build(s, family, PChoice(kind=kind, omega=0.05), enforce_pd=False)
+    n, m = s.n, s.m
+    B = s.B.toarray()
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = pc.P
+    if family == CONSTRAINT:
+        M[:n, n:] = B.T
+        M[n:, :n] = -B
+    elif family == BLOCK_DIAG:
+        M[n:, n:] = B @ pc.p_solve(B.T)
+    else:
+        M[:n, n:] = B.T
+        M[n:, n:] = (s.h**2 / s.nu) * np.eye(m)
+    assert assemble(pc).tobytes() == M.tobytes()
+
+
+def test_six_builds_allocate_one_dense_b():
+    s = build_oseen(16, 0.001)
+    size = 8 * s.m * s.n
+    tracemalloc.start()
+    try:
+        pcs = _six_builds(s)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # an m x n buffer alive after the builds can only be B (P^{-1} B^T is freed)
+    alive = [t for t in snapshot.traces if t.size == size]
+    assert len(alive) == 1
+    assert all(pc.B is pcs[0].B for pc in pcs)
