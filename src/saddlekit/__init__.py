@@ -19,11 +19,9 @@ from .linalg import (
 )
 from .problems import (
     SaddleSystem,
-    Splitting,
     build_oseen,
     build_random_singular,
     make_consistent_rhs,
-    split,
 )
 from .precond import (
     BLOCK_DIAG,
@@ -37,6 +35,7 @@ from .precond import (
     apply_pseudo_inverse_transpose,
     assemble,
     build,
+    pd_bound,
 )
 from .solvers import (
     BreakdownError,
@@ -58,7 +57,6 @@ from .analysis import (
     norm_certificates,
     omega_bound_symmetric,
     omega_bound_triangular,
-    pd_bound,
     projection_spectrum,
 )
 
@@ -66,16 +64,14 @@ __all__ = [
     "__version__",
     "LinAlgFailure", "NotPositiveDefinite", "SvdFactors", "pinv",
     "pseudospectral_radius", "spectral_norm", "svd",
-    "SaddleSystem", "Splitting", "build_oseen", "build_random_singular",
-    "make_consistent_rhs", "split",
+    "SaddleSystem", "build_oseen", "build_random_singular", "make_consistent_rhs",
     "BLOCK_DIAG", "BLOCK_TRI", "CONSTRAINT", "PChoice", "Preconditioner",
     "SYMMETRIC_SCALED", "TRIANGULAR_SPLIT", "apply_pseudo_inverse",
-    "apply_pseudo_inverse_transpose", "assemble", "build",
+    "apply_pseudo_inverse_transpose", "assemble", "build", "pd_bound",
     "BreakdownError", "DivergenceError", "IterationReport", "SolveConfig",
     "best_report", "gcp_iterate", "gmres_restarted", "omega_sweep", "qmr",
     "solve_with",
     "SpectralReport", "check_lemma4", "compute_X",
     "gcp_convergence_indicator", "norm_certificates",
-    "omega_bound_symmetric", "omega_bound_triangular", "pd_bound",
-    "projection_spectrum",
+    "omega_bound_symmetric", "omega_bound_triangular", "projection_spectrum",
 ]

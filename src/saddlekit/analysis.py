@@ -19,7 +19,6 @@ import scipy.linalg as sla
 
 from .linalg import (
     Array,
-    DEFAULT_ONE_TOL,
     NotPositiveDefinite,
     cholesky,
     dense,
@@ -34,7 +33,9 @@ from .linalg import (
 )
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
                       Preconditioner, apply_pseudo_inverse)
-from .problems import SaddleSystem, lower_skew_part, saddle_null_basis, split, symmetric_part
+from .precond import pd_bound  # noqa: F401  (re-exported beside the omega bounds)
+from .problems import (SaddleSystem, lower_skew_part, saddle_null_basis, skew_part,
+                       symmetric_part)
 
 NULL_ANGLE_TOL = 1e-8
 
@@ -57,23 +58,19 @@ class SpectralReport:
 
 
 def compute_X(system: SaddleSystem, pc: Preconditioner) -> Array:
-    """The n x n matrix X = P^{-1} - P^{-1} B^T E^+ B P^{-1}."""
+    """The n x n matrix X = P^{-1} - P^{-1} B^T E^+ B P^{-1}, the (1,1) block of M^+."""
     if pc.family != CONSTRAINT:
         raise ValueError("X is defined for the constraint family only")
-    Pinv = pc.p_solve(np.eye(pc.n))
-    # P^{-1} B^T, not (B P^{-1})^T = P^{-T} B^T: the two differ when P != P^T
-    return Pinv - (Pinv @ pc.B.T) @ (pc.E_pinv @ (pc.B @ Pinv))
+    return apply_pseudo_inverse(pc, np.eye(pc.n + pc.m, pc.n))[: pc.n]
 
 
-def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner,
-                              one_tol: float = DEFAULT_ONE_TOL) -> float:
+def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner) -> float:
     """gamma(X(P - W)); the stationary scheme converges iff this is < 1."""
     X = compute_X(system, pc)
-    return pseudospectral_radius(X @ (pc.P - dense(system.W)), one_tol)
+    return pseudospectral_radius(X @ (pc.P - dense(system.W)))
 
 
-def check_lemma4(system: SaddleSystem, pc: Preconditioner,
-                 one_tol: float = DEFAULT_ONE_TOL) -> SpectralReport:
+def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
     """Evaluate the three convergence conditions for T = I - M^+ A.
 
     null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
@@ -98,11 +95,11 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner,
         null_ok = bool(angles.max(initial=0.0) <= NULL_ANGLE_TOL)
 
     index_ok = rank_of(f.singular_values) == numerical_rank(MdagA @ MdagA)
-    gamma_T = pseudospectral_radius(T, one_tol)
+    gamma_T = pseudospectral_radius(T)
 
     gamma_xpw = None
     if pc.family == CONSTRAINT:
-        gamma_xpw = gcp_convergence_indicator(system, pc, one_tol)
+        gamma_xpw = gcp_convergence_indicator(system, pc)
 
     ones = zeros = None
     if pc.family == CONSTRAINT and pc.p_choice.kind == SYMMETRIC_SCALED:
@@ -144,9 +141,8 @@ def omega_bound_symmetric(W: Array) -> float:
     rho is the spectral radius of H^{-1/2} S H^{-1/2}; the scheme converges
     for every omega strictly above the returned value.
     """
-    sp = split(W)
-    R = sym_inv_sqrt(sp.H)
-    rho = spectral_norm(R @ sp.S @ R)  # equals the spectral radius (skew matrix)
+    R = sym_inv_sqrt(symmetric_part(W).toarray())
+    rho = spectral_norm(R @ skew_part(W).toarray() @ R)  # equals the spectral radius (skew matrix)
     return 0.5 * (1.0 + rho**2)
 
 
@@ -164,12 +160,6 @@ def omega_bound_triangular(W: Array) -> float:
     if c < 1e-12 * max(lmax, 1.0):
         return 2.0 / lmax
     return (-lmax + math.sqrt(lmax**2 + 16.0 * c**2)) / (4.0 * c**2)
-
-
-def pd_bound(W: Array) -> float:
-    """Positive-definiteness threshold 1/||L_s||_2 for the triangular-split P."""
-    c = spectral_norm(lower_skew_part(W))
-    return math.inf if c == 0.0 else 1.0 / c
 
 
 def norm_certificates(system: SaddleSystem, pc: Preconditioner) -> tuple[float, float]:

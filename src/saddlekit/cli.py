@@ -19,12 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    check_lemma4,
-    omega_bound_symmetric,
-    omega_bound_triangular,
-    pd_bound,
-)
+from .analysis import check_lemma4, omega_bound_symmetric, omega_bound_triangular
 from .linalg import NotPositiveDefinite
 from .precond import (
     BLOCK_DIAG,
@@ -34,6 +29,7 @@ from .precond import (
     SYMMETRIC_SCALED,
     TRIANGULAR_SPLIT,
     build,
+    pd_bound,
 )
 from .problems import build_oseen, export
 from .solvers import (
@@ -177,18 +173,28 @@ def build_case(system, case: str, omega: float, enforce_pd: bool = False):
                      _checked(PChoice, kind=kind, omega=omega), enforce_pd=enforce_pd)
 
 
-def _common_flags(p: argparse.ArgumentParser, need_case: bool = True):
-    p.add_argument("-l", "--grid", type=int, default=16, dest="l",
-                   help="cells per side of the MAC grid (default 16)")
-    p.add_argument("--nu", type=float, default=0.1, help="viscosity (default 0.1)")
-    if need_case:
-        p.add_argument("--case", choices=CASES, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--restart", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
+# every flag that more than one command takes, declared once:
+# name -> (option strings, add_argument keywords)
+_FLAGS = {
+    "l": (("-l", "--grid"), dict(type=int, default=16, dest="l",
+                                 help="cells per side of the MAC grid (default 16)")),
+    "nu": (("--nu",), dict(type=float, default=0.1, help="viscosity (default 0.1)")),
+    "case": (("--case",), dict(choices=CASES, required=True)),
+    "tol": (("--tol",), dict(type=float, default=SolveConfig.tol)),
+    "max_iters": (("--max-iters",), dict(type=int, default=SolveConfig.max_iters)),
+    "restart": (("--restart",), dict(type=int, default=SolveConfig.restart)),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "format": (("--format",), dict(choices=("csv", "json"), default="csv")),
+    "out": (("--out",), dict(default=None, help="output file (default: stdout)")),
+    "solver": (("--solver",), dict(choices=("gcp", "stationary", "gmres", "qmr"))),
+    "omega": (("--omega",), dict(type=float, required=True)),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    for name in names:
+        options, kwargs = _FLAGS[name]
+        p.add_argument(*options, **kwargs)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -198,33 +204,24 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate and export a cavity problem")
-    g.add_argument("-l", "--grid", type=int, default=16, dest="l")
-    g.add_argument("--nu", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=0)
+    _add_flags(g, "l", "nu", "seed")
     g.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("solve", help="run a single solve")
-    _common_flags(s)
-    s.add_argument("--solver", choices=("gcp", "stationary", "gmres", "qmr"))
-    s.add_argument("--omega", type=float, required=True)
+    _add_flags(s, "l", "nu", "case", "tol", "max_iters", "restart", "seed", "format", "out",
+               "solver", "omega")
 
     w = sub.add_parser("sweep", help="solve over an omega grid")
-    _common_flags(w)
-    w.add_argument("--solver", choices=("gcp", "stationary", "gmres", "qmr"))
+    _add_flags(w, "l", "nu", "case", "tol", "max_iters", "restart", "seed", "format", "out",
+               "solver")
     w.add_argument("--omega-grid", required=True, metavar="a:b:step")
 
     a = sub.add_parser("analyze", help="spectral diagnostics for one case")
-    _common_flags(a)
-    a.add_argument("--omega", type=float, required=True)
+    _add_flags(a, "l", "nu", "case", "seed", "out", "omega")
 
     t = sub.add_parser("table", help="reproduce a benchmark table")
     t.add_argument("table_id", type=int, choices=(2, 3, 4))
-    t.add_argument("-l", "--grid", type=int, default=16, dest="l")
-    t.add_argument("--tol", type=float, default=1e-6)
-    t.add_argument("--max-iters", type=int, default=5000)
-    t.add_argument("--restart", type=int, default=10)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--out", default=None)
+    _add_flags(t, "l", "tol", "max_iters", "restart", "seed", "out")
     return parser
 
 

@@ -70,12 +70,7 @@ def svd(A: Array) -> SvdFactors:
 
 def null_basis(f: SvdFactors, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     """Orthonormal basis of the null space from a full SVD."""
-    s = f.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return f.V
-    mask = np.concatenate([s <= rank_tol * s[0],
-                           np.ones(f.V.shape[1] - s.size, dtype=bool)])
-    return f.V[:, mask]
+    return f.V[:, rank_of(f.singular_values, rank_tol):]
 
 
 def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
@@ -86,12 +81,8 @@ def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     if not 0.0 < rank_tol < 1.0:
         raise ValueError("rank_tol must lie in (0, 1)")
     f = svd(A)
-    s = f.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rank_tol * s[0]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (f.V[:, : s.size] * inv_s) @ f.U[:, : s.size].T
+    r = rank_of(f.singular_values, rank_tol)
+    return (f.V[:, :r] * (1.0 / f.singular_values[:r])) @ f.U[:, :r].T
 
 
 def cholesky(A: Array) -> Array:

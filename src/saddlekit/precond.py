@@ -17,6 +17,7 @@ omega < 1 / ||L_s||_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,12 @@ def _lapack(routine, *args, **kwargs) -> Array:
     return x
 
 
+def pd_bound(W) -> float:
+    """Positive-definiteness threshold 1/||L_s||_2 for the triangular-split P."""
+    c = spectral_norm(lower_skew_part(W))
+    return math.inf if c == 0.0 else 1.0 / c
+
+
 def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool = True):
     """(make_p, p_solve, p_solve_t) for the (1,1) block P."""
     W = system.W
@@ -120,11 +127,10 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
         return P.toarray, p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
         if enforce_pd:
-            norm_ls = spectral_norm(lower_skew_part(W))
-            if norm_ls > 0 and omega >= 1.0 / norm_ls:
-                raise ValueError(
-                    f"triangular-split P is not positive definite: omega={omega:g} "
-                    f">= 1/||L_s||_2 = {1.0 / norm_ls:g}")
+            bound = pd_bound(W)
+            if omega >= bound:
+                raise ValueError(f"triangular-split P is not positive definite: "
+                                 f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
         # one array F = I + omega S holds both factors: its lower triangle is
         # Fl = I + omega L_s and its upper triangle Fu = I + omega U_s
         F = skew_part(W).toarray()

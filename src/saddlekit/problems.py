@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sps
 
-from . import mmio
 from .linalg import DEFAULT_RANK_TOL, Array, dense, null_basis, svd
 
 DEFAULT_RANGE_TOL = 1e-10
@@ -35,16 +35,6 @@ def wind_x(x, y):
 
 def wind_y(x, y):
     return 8.0 * y * (2.0 * x - 1.0) * (y - 1.0)
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """Symmetric/skew decomposition of the velocity block W."""
-
-    H: Array
-    S: Array
-    L_s: Array
-    U_s: Array
 
 
 def symmetric_part(W) -> sps.csr_array:
@@ -62,12 +52,6 @@ def skew_part(W) -> sps.csr_array:
 def lower_skew_part(W) -> sps.csr_array:
     """L_s, the strict lower triangle of S, as CSR."""
     return sps.tril(skew_part(W), -1, format="csr")
-
-
-def split(W) -> Splitting:
-    """W = H + S with H symmetric, S skew; L_s/U_s the strict triangles of S (all dense)."""
-    S = skew_part(W).toarray()
-    return Splitting(H=symmetric_part(W).toarray(), S=S, L_s=np.tril(S, -1), U_s=np.triu(S, 1))
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,7 @@ def build_oseen(l: int, nu: float, rhs_mode: str = "manufactured", seed: int = 0
 
 
 def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
-                        seed: int = 0, x_star: Array | None = None) -> Array:
+                        seed: int = 0) -> Array:
     """Right-hand side guaranteed (or projected) to lie in range(A).
 
     ``manufactured``: b = A x* for a seeded pseudo-random x*.
@@ -267,10 +251,8 @@ def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
     {0} x null(B^T) (all of it when sym(W) is positive definite).
     """
     if mode == "manufactured":
-        if x_star is None:
-            rng = np.random.default_rng(seed)
-            x_star = rng.standard_normal(system.n + system.m)
-        return system.matrix() @ np.asarray(x_star, dtype=float)
+        x_star = np.random.default_rng(seed).standard_normal(system.n + system.m)
+        return system.matrix() @ x_star
     if mode == "projected":
         if system.raw_rhs is None:
             raise ValueError("system carries no raw load vector to project")
@@ -280,11 +262,10 @@ def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
     raise ValueError(f"unknown rhs mode {mode!r}")
 
 
-def build_random_singular(n: int, m: int, rank_b: int, seed: int,
-                          skew_scale: float = 0.3) -> SaddleSystem:
+def build_random_singular(n: int, m: int, rank_b: int, seed: int) -> SaddleSystem:
     """Small synthetic singular saddle system for property tests.
 
-    W is a diagonally dominant SPD part plus a scaled skew part; B is an
+    W is a diagonally dominant SPD part plus 0.3 times a skew part; B is an
     explicit rank-``rank_b`` product, so the system is singular whenever
     rank_b < m.  The right-hand side is manufactured, hence consistent.
     """
@@ -294,7 +275,7 @@ def build_random_singular(n: int, m: int, rank_b: int, seed: int,
     G = rng.standard_normal((n, n))
     Hs = 0.5 * (G + G.T)
     H = Hs + np.diag(np.abs(Hs).sum(axis=1) + 1.0)
-    S = skew_scale * 0.5 * (G - G.T)
+    S = 0.3 * 0.5 * (G - G.T)
     W = H + S
     B = rng.standard_normal((m, rank_b)) @ rng.standard_normal((rank_b, n))
     system = SaddleSystem(W=W, B=B, f=np.zeros(n), g=np.zeros(m))
@@ -303,13 +284,15 @@ def build_random_singular(n: int, m: int, rank_b: int, seed: int,
 
 
 def export(system: SaddleSystem, out_dir) -> dict:
-    """Write W, B, f, g in coordinate format plus a JSON metadata sidecar."""
+    """Write W, B, f, g as Matrix Market coordinate files (real, general,
+    explicit nonzeros only) plus a JSON metadata sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mmio.write_coordinate(out / "W.mtx", system.W)
-    mmio.write_coordinate(out / "B.mtx", system.B)
-    mmio.write_vector(out / "f.mtx", system.f)
-    mmio.write_vector(out / "g.mtx", system.g)
+    for name, M in (("W", system.W), ("B", system.B),
+                    ("f", system.f.reshape(-1, 1)), ("g", system.g.reshape(-1, 1))):
+        # through a handle: given a path, mmwrite appends ".mtx" when it is missing
+        with open(out / f"{name}.mtx", "wb") as fh:
+            scipy.io.mmwrite(fh, sps.coo_array(M), symmetry="general")
     meta = {"l": system.l, "nu": system.nu, "n": system.n, "m": system.m}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     return meta

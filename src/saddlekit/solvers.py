@@ -9,7 +9,6 @@ the stationary scheme.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,13 +57,6 @@ class IterationReport:
     case_label: str = ""
     status: str = ""
     x: Array | None = field(default=None, repr=False)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "res"])
-            for k, res in enumerate(self.residual_history):
-                w.writerow([k, repr(res)])
 
 
 class DivergenceError(RuntimeError):

@@ -1,0 +1,29 @@
+"""The public names: perfbench builds its namespace from ``saddlekit.__all__``,
+so a dropped export would end a benchmark run as ``run_failed``."""
+
+import saddlekit
+from saddlekit import analysis, cli, precond
+
+# the names perfbench/workloads.py and perfbench/tracing.py call
+BENCHMARK_NAMES = [
+    "build_oseen", "build", "PChoice",
+    "CONSTRAINT", "BLOCK_DIAG", "BLOCK_TRI", "SYMMETRIC_SCALED", "TRIANGULAR_SPLIT",
+    "assemble", "apply_pseudo_inverse", "apply_pseudo_inverse_transpose",
+    "solve_with", "SolveConfig", "check_lemma4",
+    "omega_bound_symmetric", "omega_bound_triangular", "pd_bound",
+]
+
+
+def test_all_names_resolve():
+    assert [name for name in saddlekit.__all__ if not hasattr(saddlekit, name)] == []
+
+
+def test_benchmark_names_exported():
+    assert [name for name in BENCHMARK_NAMES if name not in saddlekit.__all__] == []
+    assert callable(saddlekit.SaddleSystem.matrix)
+    assert callable(cli.main)
+
+
+def test_pd_bound_is_one_function():
+    # the PD gate's rule lives in precond; the analysis API re-exports it
+    assert saddlekit.pd_bound is analysis.pd_bound is precond.pd_bound

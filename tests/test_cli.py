@@ -16,6 +16,7 @@ from saddlekit.cli import (
 from saddlekit import cli
 from saddlekit.cli import UsageError
 from saddlekit.linalg import NotPositiveDefinite
+from saddlekit.solvers import SolveConfig
 
 
 def run(capsys, *argv):
@@ -233,3 +234,30 @@ def test_not_positive_definite_from_solver_propagates(monkeypatch):
     monkeypatch.setattr(cli, "solve_with", broken)
     with pytest.raises(NotPositiveDefinite, match="not an input error"):
         main(["solve", "--case", "I", "-l", "4", "--omega", "1.0"])
+
+
+@pytest.mark.parametrize("flag", [("--tol", "5"), ("--max-iters", "3"), ("--restart", "2"),
+                                  ("--format", "csv")], ids=lambda f: f[0])
+def test_analyze_rejects_solve_flags(capsys, monkeypatch, flag):
+    # analyze runs no solve and prints JSON only: these flags would be ignored
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected command line")
+
+    monkeypatch.setattr(cli, "build_oseen", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--case", "I", "-l", "6", "--omega", "1", *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--case", "I", "--omega", "1"),
+    ("sweep", "--case", "I", "--omega-grid", "1:1:1"),
+    ("table", "2"),
+], ids=["solve", "sweep", "table"])
+def test_solve_flag_defaults_are_solve_config(argv):
+    args = cli.make_parser().parse_args(list(argv))
+    cfg = SolveConfig()
+    assert (args.tol, args.max_iters, args.restart) == (cfg.tol, cfg.max_iters, cfg.restart)

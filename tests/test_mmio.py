@@ -1,47 +1,40 @@
+"""The Matrix Market files written by ``problems.export``, read back with scipy.io."""
+
 import numpy as np
-import pytest
+import scipy.io as sio
 from hypothesis import given, settings, strategies as st
 
-from saddlekit import mmio
+from saddlekit import SaddleSystem
+from saddlekit.problems import export
+
+
+def _system(W, B, f=None, g=None):
+    n, m = W.shape[0], B.shape[0]
+    return SaddleSystem(W=W, B=B, f=np.zeros(n) if f is None else f,
+                        g=np.zeros(m) if g is None else g)
+
+
+def _read(path):
+    return sio.mmread(path).toarray()
 
 
 def test_roundtrip_dense(tmp_path):
     A = np.array([[1.5, 0.0], [0.0, -2.25], [3.0, 0.125]])
-    path = tmp_path / "a.mtx"
-    mmio.write_coordinate(path, A)
-    assert np.array_equal(mmio.read_coordinate(path), A)
+    export(_system(np.eye(2), A), tmp_path)
+    assert np.array_equal(_read(tmp_path / "B.mtx"), A)
 
 
 def test_header_line(tmp_path):
-    path = tmp_path / "a.mtx"
-    mmio.write_coordinate(path, np.eye(2))
-    first = path.read_text().splitlines()[0]
-    assert first == "%%MatrixMarket matrix coordinate real general"
-
-
-def test_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix array real general\n1 1\n1.0\n")
-    with pytest.raises(ValueError):
-        mmio.read_coordinate(path)
+    export(_system(np.eye(2), np.ones((1, 2))), tmp_path)
+    for name in ("W", "B", "f", "g"):
+        first = (tmp_path / f"{name}.mtx").read_text().splitlines()[0]
+        assert first == "%%MatrixMarket matrix coordinate real general"
 
 
 def test_vector_roundtrip(tmp_path):
     v = np.array([0.0, 1.0, -2.5])
-    path = tmp_path / "v.mtx"
-    mmio.write_vector(path, v)
-    assert np.array_equal(mmio.read_vector(path), v)
-
-
-def test_skips_comment_lines(tmp_path):
-    path = tmp_path / "c.mtx"
-    path.write_text(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "% a comment\n"
-        "2 2 1\n"
-        "2 1 4.0\n")
-    A = mmio.read_coordinate(path)
-    assert A[1, 0] == 4.0 and A.sum() == 4.0
+    export(_system(np.eye(3), np.ones((1, 3)), f=v), tmp_path)
+    assert np.array_equal(_read(tmp_path / "f.mtx").ravel(), v)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6),
@@ -49,10 +42,14 @@ def test_skips_comment_lines(tmp_path):
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_exact_bits(tmp_path_factory, seed, r, c, density):
     g = np.random.default_rng(seed)
-    A = g.standard_normal((r, c))
-    A[g.random((r, c)) > density] = 0.0
-    path = tmp_path_factory.mktemp("mm") / "r.mtx"
-    mmio.write_coordinate(path, A)
-    B = mmio.read_coordinate(path)
+    W, B = g.standard_normal((c, c)), g.standard_normal((r, c))
+    f, gv = g.standard_normal(c), g.standard_normal(r)
+    for M in (W, B, f, gv):
+        M[g.random(M.shape) > density] = 0.0
+    out = tmp_path_factory.mktemp("mm")
+    export(_system(W, B, f, gv), out)
     # repr-based serialization must be bit-exact
-    assert np.array_equal(A, B)
+    assert np.array_equal(_read(out / "W.mtx"), W)
+    assert np.array_equal(_read(out / "B.mtx"), B)
+    assert np.array_equal(_read(out / "f.mtx").ravel(), f)
+    assert np.array_equal(_read(out / "g.mtx").ravel(), gv)

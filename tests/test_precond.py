@@ -28,7 +28,7 @@ from saddlekit import precond
 from saddlekit.analysis import pd_bound
 from saddlekit.linalg import pinv
 from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
-from saddlekit.problems import split
+from saddlekit.problems import skew_part, symmetric_part
 
 
 def saddle(seed, **kw):
@@ -74,10 +74,10 @@ class TestBuild:
         def refuse(_):
             raise AssertionError("spectral_norm called with enforce_pd=False")
 
-        monkeypatch.setattr(precond, "spectral_norm", refuse)
         s = saddle(4)
-        build(s, family, PChoice(kind="triangular_split", omega=1.5 * pd_bound(s.W)),
-              enforce_pd=False)
+        omega = 1.5 * pd_bound(s.W)  # before the patch: pd_bound itself takes the norm
+        monkeypatch.setattr(precond, "spectral_norm", refuse)
+        build(s, family, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
 
     def test_pd_gate_message(self):
         s = saddle(1)
@@ -88,17 +88,28 @@ class TestBuild:
             "triangular-split P is not positive definite: "
             f"omega={1.5 * bound:g} >= 1/||L_s||_2 = {bound:g}")
 
+    @pytest.mark.parametrize("system", ["oseen", "random"])
+    def test_pd_gate_is_pd_bound(self, system, oseen_8):
+        # the gate and pd_bound are one rule: it refuses omega = pd_bound and
+        # accepts the largest float below it
+        s = oseen_8 if system == "oseen" else saddle(7)
+        bound = pd_bound(s.W)
+        with pytest.raises(ValueError, match="not positive definite"):
+            build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=bound))
+        build(s, CONSTRAINT, PChoice(kind="triangular_split",
+                                     omega=float(np.nextafter(bound, 0.0))))
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lazy_p_is_bit_exact(self, family):
         s = saddle(5)
-        sp = split(s.W)
+        H, S = symmetric_part(s.W).toarray(), skew_part(s.W).toarray()
         omega = 0.5 * pd_bound(s.W)
         pc = build(s, family, PChoice(kind="symmetric_scaled", omega=omega))
         assert "P" not in vars(pc)  # formed on first use only
-        assert np.array_equal(pc.P, omega * sp.H)
+        assert np.array_equal(pc.P, omega * H)
         pc = build(s, family, PChoice(kind="triangular_split", omega=omega))
         I = np.eye(s.n)
-        expected = (1.0 / omega) * ((I + omega * sp.L_s) @ (I + omega * sp.U_s))
+        expected = (1.0 / omega) * ((I + omega * np.tril(S, -1)) @ (I + omega * np.triu(S, 1)))
         assert np.array_equal(pc.P, expected)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -190,13 +201,13 @@ def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
 
     s = oseen_8
     W = s.W.toarray()
-    sp = split(W)
+    H, S = symmetric_part(W).toarray(), skew_part(W).toarray()
     if kind == "symmetric_scaled":
-        L = np.asfortranarray(cholesky(omega * sp.H))
+        L = np.asfortranarray(cholesky(omega * H))
         solve = solve_t = lambda x: sla.cho_solve((L, True), x)
         choice = PChoice(kind=kind, omega=omega)
     elif kind == "triangular_split":
-        Fl, Fu = np.eye(s.n) + omega * sp.L_s, np.eye(s.n) + omega * sp.U_s
+        Fl, Fu = np.eye(s.n) + omega * np.tril(S, -1), np.eye(s.n) + omega * np.triu(S, 1)
 
         def solve(x):
             return omega * sla.solve_triangular(Fu, sla.solve_triangular(Fl, x, lower=True))
@@ -221,9 +232,9 @@ def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
 
 def _two_array_solves(system, omega):
     """P^{-1} and P^{-T} through separately formed Fl and Fu (the reference)."""
-    sp = split(system.W)
+    S = skew_part(system.W).toarray()
     I = np.eye(system.n)
-    Fl, Fu = I + omega * sp.L_s, I + omega * sp.U_s
+    Fl, Fu = I + omega * np.tril(S, -1), I + omega * np.triu(S, 1)
 
     def tri(F, x, lower, trans):
         y, info = dtrtrs(F, x, lower=lower, trans=trans)

@@ -194,16 +194,6 @@ class TestSweep:
             omega_sweep(saddle(24), CONSTRAINT, "symmetric_scaled", [0.8, 1.0])
 
 
-def test_report_csv(tmp_path):
-    s = saddle(30)
-    report = gcp_iterate(s, default_pc(s))
-    path = tmp_path / "hist.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,res"
-    assert len(lines) == len(report.residual_history) + 1
-
-
 def test_solve_with_maps_divergence():
     s = saddle(31)
     report = solve_with("gcp", s, default_pc(s, omega=0.05),
