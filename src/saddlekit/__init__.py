@@ -1,7 +1,7 @@
 """Solver toolkit for singular saddle-point systems.
 
 Constraint-style preconditioners with a rank-deficient constraint block,
-applied through explicit Moore-Penrose block formulas; a stationary
+applied through their Moore-Penrose inverses; a stationary
 fixed-point scheme plus restarted GMRES and QMR on top of them; spectral
 convergence diagnostics; and a staggered-grid Oseen cavity benchmark.
 """

@@ -79,7 +79,7 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
     """
     if pc.family not in (CONSTRAINT, BLOCK_DIAG):
         raise ValueError("convergence conditions apply to the singular families")
-    A = system.matrix()
+    A = system.matrix().toarray()
     MdagA = apply_pseudo_inverse(pc, A)
     T = np.eye(A.shape[0]) - MdagA
 

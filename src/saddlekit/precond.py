@@ -3,10 +3,10 @@
 Three families share the same (1,1) block P:
 
 * ``constraint``:  M = [[P, B^T], [-B, 0]], singular when B is rank
-  deficient; applied through the explicit block formula for its
-  Moore-Penrose inverse built on E = B P^{-1} B^T.
-* ``block_diag``:  M_b = diag(P, E), also singular; the pseudoinverse is
-  diag(P^{-1}, E^+).
+  deficient; its Moore-Penrose inverse is applied through one sparse LU of
+  M with one pressure unknown per null vector of B^T pinned.
+* ``block_diag``:  M_b = diag(P, E), E = B P^{-1} B^T, also singular; the
+  pseudoinverse is diag(P^{-1}, E^+), E^+ from one LU of E + N N^T.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
   application is an exact back-substitution solve.
 
@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrs, dtrtrs
+import scipy.sparse as sps
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
+from scipy.sparse.linalg import splu
 
-from .linalg import Array, LinAlgFailure, cholesky, pinv, spectral_norm
-from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
+from .linalg import Array, LinAlgFailure, cholesky, spectral_norm
+from .problems import (SaddleSystem, lower_skew_part, null_basis_BT, skew_part,
+                       symmetric_part)
 
 CONSTRAINT = "constraint"
 BLOCK_DIAG = "block_diag"
@@ -54,39 +58,55 @@ class PChoice:
             raise ValueError("custom P kind needs an explicit matrix")
 
 
+def _no_p_factor(x: Array) -> Array:
+    raise ValueError("a constraint preconditioner keeps no factor of P")
+
+
 class Preconditioner:
     """Factorized preconditioner; immutable after :func:`build`.
 
-    It keeps what its applies read: the factor of P, E^+ for the singular
-    families, and the system's shared read-only dense B.  E, the (2,2)
-    block of M_b, is kept by the block-diagonal family only.  P itself is
-    formed anew on each read (by :func:`assemble`, the analysis and tests).
+    It keeps what its applies read:
+
+    * constraint: one sparse LU of the pinned M (see :func:`build`) with the
+      basis N of null(B^T) and the pinned rows; no factor of P, no E, no
+      dense B;
+    * block-diagonal: the P-solves, E (its (2,2) block) and an LU of
+      E + N N^T;
+    * block-triangular: the P-solves and the system's shared read-only
+      dense B (``dense_B``).
+
+    ``B`` is the system's own CSR B, read by :func:`assemble`.  P is formed
+    sparse on each read (``P`` densifies it) and never kept.
     """
 
-    def __init__(self, family, p_choice, make_p, p_solve, p_solve_t, B,
-                 E=None, E_pinv=None, h_sq_over_nu=None):
+    def __init__(self, family, p_choice, make_p, B, p_solves=(_no_p_factor, _no_p_factor),
+                 dense_B=None, E=None, E_lu=None, N=None, M_lu=None, pinned=None,
+                 h_sq_over_nu=None):
         self.family = family
         self.p_choice = p_choice
         self._make_p = make_p
-        self._p_solve = p_solve
-        self._p_solve_t = p_solve_t
+        self._p_solve, self._p_solve_t = p_solves
         self.B = B
+        self.dense_B = dense_B
         self.E = E
-        self.E_pinv = E_pinv
+        self.E_lu = E_lu
+        self.N = N
+        self.M_lu = M_lu
+        self.pinned = pinned
         self.h_sq_over_nu = h_sq_over_nu
         self.m, self.n = B.shape
 
     @property
     def P(self) -> Array:
         """The dense (1,1) block, formed on each read and never kept."""
-        return self._make_p()
+        return self._make_p().toarray()
 
     def p_solve(self, x: Array) -> Array:
-        """Apply P^{-1} to a vector or a column block."""
+        """Apply P^{-1} to a vector or a column block (block families only)."""
         return self._p_solve(x)
 
     def p_solve_t(self, x: Array) -> Array:
-        """Apply P^{-T}."""
+        """Apply P^{-T} (block families only)."""
         return self._p_solve_t(x)
 
 
@@ -112,25 +132,31 @@ def pd_bound(W) -> float:
     return math.inf if c == 0.0 else 1.0 / c
 
 
-def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool = True):
-    """(make_p, p_solve, p_solve_t) for the (1,1) block P."""
-    W = system.W
+def _p_matrix(W, p_choice: PChoice) -> sps.csr_array:
+    """The (1,1) block P as CSR: omega H, the expanded triangular split
+    S + I/omega + omega L_s U_s, or the custom P."""
     omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
-        P = omega * symmetric_part(W)
+        return omega * symmetric_part(W)
+    if p_choice.kind == TRIANGULAR_SPLIT:
+        S = skew_part(W)
+        L_s, U_s = sps.tril(S, -1, format="csr"), sps.triu(S, 1, format="csr")
+        return S + sps.eye_array(S.shape[0], format="csr") / omega + omega * (L_s @ U_s)
+    return sps.csr_array(np.asarray(p_choice.custom_p, dtype=float))
+
+
+def _p_solves(W, p_choice: PChoice):
+    """(P^{-1}, P^{-T}) solves for the block families."""
+    omega = p_choice.omega
+    if p_choice.kind == SYMMETRIC_SCALED:
         # doubles as the SPD check on H; Fortran order, so dpotrs copies nothing
-        L = np.asfortranarray(cholesky(P))
+        L = np.asfortranarray(cholesky(omega * symmetric_part(W)))
 
         def p_solve(x):
             return _lapack(dpotrs, L, _finite(x), lower=1)
 
-        return P.toarray, p_solve, p_solve
+        return p_solve, p_solve
     if p_choice.kind == TRIANGULAR_SPLIT:
-        if enforce_pd:
-            bound = pd_bound(W)
-            if omega >= bound:
-                raise ValueError(f"triangular-split P is not positive definite: "
-                                 f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
         # one array F = I + omega S holds both factors: its lower triangle is
         # Fl = I + omega L_s and its upper triangle Fu = I + omega U_s
         F = skew_part(W).toarray()
@@ -151,26 +177,66 @@ def _p_factorization(system: SaddleSystem, p_choice: PChoice, enforce_pd: bool =
         def p_solve_t(x):
             return omega * tri(tri(x, 1, 0), 0, 0)
 
-        def make_p():
-            P = np.tril(F) @ np.triu(F)
-            P *= 1.0 / omega
-            return P
-
-        return make_p, p_solve, p_solve_t
+        return p_solve, p_solve_t
     P = np.asarray(p_choice.custom_p, dtype=float)
     lu = sla.lu_factor(P)
-    return ((lambda: P),
-            lambda x: sla.lu_solve(lu, _finite(x), check_finite=False),
+    return (lambda x: sla.lu_solve(lu, _finite(x), check_finite=False),
             lambda x: sla.lu_solve(lu, _finite(x), trans=1, check_finite=False))
+
+
+def _check_h_spd(system: SaddleSystem) -> None:
+    """Raise NotPositiveDefinite unless H = sym(W) is SPD, as P = omega H needs.
+
+    The verdict does not depend on omega, so the one dense Cholesky runs
+    once per system.
+    """
+    if not system._h_spd:
+        cholesky(symmetric_part(system.W))
+        object.__setattr__(system, "_h_spd", True)
+
+
+def _pinned_rows(N: Array) -> Array:
+    """The d pressure rows to pin: those a pivoted QR of N^T picks, so that
+    N restricted to them is nonsingular."""
+    return sla.qr(N.T, mode="r", pivoting=True)[1][: N.shape[1]]
+
+
+def _pinned_lu(M, pin: Array):
+    """splu of M with each row and column in ``pin`` replaced by a unit vector."""
+    M = M.tocoo()
+    keep = ~(np.isin(M.row, pin) | np.isin(M.col, pin))
+    M_pin = sps.csc_array((np.concatenate([M.data[keep], np.ones(pin.size)]),
+                           (np.concatenate([M.row[keep], pin]),
+                            np.concatenate([M.col[keep], pin]))), shape=M.shape)
+    _finite(M_pin.data)
+    try:
+        return splu(M_pin)
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise LinAlgFailure(f"pinned constraint matrix is singular: {exc}") from exc
+
+
+def _constraint_matrix(P, B) -> sps.coo_array:
+    return sps.block_array([[P, B.T], [-B, None]], format="coo")
 
 
 def build(system: SaddleSystem, family: str, p_choice: PChoice,
           enforce_pd: bool = True) -> Preconditioner:
-    """Factorize P, assemble E = B P^{-1} B^T and keep its pseudoinverse.
+    """Factorize the preconditioner of one family.
 
-    The (2,2) block of the block-triangular family is h^2/nu times I, from
-    the system's grid metadata, or I for a system without it.
+    Let N be an orthonormal basis of null(B^T) and V = (0; N).  With
+    sym(P) > 0, M = [[P, B^T], [-B, 0]] and M^T both have the null space
+    span(V), so M^+ r is the minimum-norm solution y of M y = Pi r,
+    Pi = I - V V^T.  With one pressure unknown per column of N pinned (its
+    row and column of M replaced by a unit vector) M is nonsingular, and
+    the pinned solve of Pi r with the pinned entries set to 0 satisfies M
+    in every row: the pinned rows follow from V^T M = 0 and V^T Pi r = 0.
+    Pi then removes the null component.  The constraint family keeps that
+    one sparse LU; the block-diagonal family takes
+    E^+ = (E + N N^T)^{-1} - N N^T from one dense LU.  The (2,2) block of
+    the block-triangular family is h^2/nu times I, from the system's grid
+    metadata, or I for a system without it.
 
+    A factor that is exactly singular raises LinAlgFailure.
     ``enforce_pd=False`` skips the positive-definiteness gate on the
     triangular-split P, and with it the SVD for ||L_s||_2.  The convergence
     theory assumes the gate, but the iteration itself is well defined (and
@@ -178,72 +244,109 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown preconditioner family {family!r}")
-    make_p, p_solve, p_solve_t = _p_factorization(system, p_choice, enforce_pd)
+    W, omega = system.W, p_choice.omega
+    if p_choice.kind == TRIANGULAR_SPLIT and enforce_pd:
+        bound = pd_bound(W)
+        if omega >= bound:
+            raise ValueError(f"triangular-split P is not positive definite: "
+                             f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
+    make_p = partial(_p_matrix, W, p_choice)
+    if family == CONSTRAINT:
+        if p_choice.kind == SYMMETRIC_SCALED:
+            _check_h_spd(system)
+        N = null_basis_BT(system)
+        pinned = _pinned_rows(N)
+        M_lu = _pinned_lu(_constraint_matrix(make_p(), system.B), system.n + pinned)
+        return Preconditioner(family, p_choice, make_p, system.B, N=N, M_lu=M_lu,
+                              pinned=pinned)
+    p_solves = _p_solves(W, p_choice)
     B = system.dense_B()
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu
         else:
             h_sq_over_nu = 1.0
-        return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
+        return Preconditioner(family, p_choice, make_p, system.B, p_solves, dense_B=B,
                               h_sq_over_nu=h_sq_over_nu)
-    E = B @ p_solve(B.T)
-    E_pinv = pinv(E)
-    return Preconditioner(family, p_choice, make_p, p_solve, p_solve_t, B,
-                          E=E if family == BLOCK_DIAG else None, E_pinv=E_pinv)
+    N = null_basis_BT(system)
+    E = B @ p_solves[0](B.T)
+    lu, piv, info = dgetrf(E + N @ N.T, overwrite_a=1)
+    if info != 0:
+        raise LinAlgFailure(f"E + N N^T is singular (LAPACK dgetrf info={info})")
+    return Preconditioner(family, p_choice, make_p, system.B, p_solves, E=E,
+                          E_lu=(lu, piv), N=N)
+
+
+def _remove_null(x: Array, N: Array) -> None:
+    """x <- x - N N^T x, in place; x is a vector or a column block (a view)."""
+    x -= N @ (N.T @ x)
+
+
+def _constraint_solve(pc: Preconditioner, r: Array, trans: str) -> Array:
+    """M^+ r (trans="N") or (M^+)^T r (trans="T") from the pinned LU."""
+    n = pc.n
+    c = _finite(r).copy()
+    _remove_null(c[n:], pc.N)
+    c[n + pc.pinned] = 0.0
+    y = pc.M_lu.solve(c, trans=trans)
+    _remove_null(y[n:], pc.N)
+    return y
+
+
+def _e_pinv(pc: Preconditioner, r2: Array, trans: int) -> Array:
+    """E^+ r2 (trans=0) or (E^+)^T r2 (trans=1), as (E + N N^T)^{-1} r2 - N N^T r2."""
+    y = _lapack(dgetrs, *pc.E_lu, _finite(r2), trans=trans)
+    y -= pc.N @ (pc.N.T @ r2)
+    return y
+
+
+def _checked_length(pc: Preconditioner, r: Array) -> Array:
+    r = np.asarray(r, dtype=float)
+    if r.shape[0] != pc.n + pc.m:
+        raise ValueError(f"expected length {pc.n + pc.m}, got {r.shape[0]}")
+    return r
 
 
 def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:
     """Apply M^+ (or the exact M_t^{-1}) to a residual vector or block."""
-    r = np.asarray(r, dtype=float)
-    n, m = pc.n, pc.m
-    if r.shape[0] != n + m:
-        raise ValueError(f"expected length {n + m}, got {r.shape[0]}")
-    r1, r2 = r[:n], r[n:]
+    r = _checked_length(pc, r)
+    n = pc.n
     if pc.family == CONSTRAINT:
-        t = pc.p_solve(r1)
-        y2 = pc.E_pinv @ (pc.B @ t + r2)
-        y1 = t - pc.p_solve(pc.B.T @ y2)
-        return np.concatenate([y1, y2])
+        return _constraint_solve(pc, r, "N")
+    r1, r2 = r[:n], r[n:]
     if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve(r1), pc.E_pinv @ r2])
+        return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, 0)])
     # block_tri: exact solve by back-substitution
     y2 = r2 / pc.h_sq_over_nu
-    y1 = pc.p_solve(r1 - pc.B.T @ y2)
+    y1 = pc.p_solve(r1 - pc.dense_B.T @ y2)
     return np.concatenate([y1, y2])
 
 
 def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
     """Apply (M^+)^T = (M^T)^+, needed by the two-sided Lanczos process."""
-    r = np.asarray(r, dtype=float)
-    n, m = pc.n, pc.m
-    if r.shape[0] != n + m:
-        raise ValueError(f"expected length {n + m}, got {r.shape[0]}")
-    r1, r2 = r[:n], r[n:]
+    r = _checked_length(pc, r)
+    n = pc.n
     if pc.family == CONSTRAINT:
-        # M^+T has blocks [X^T, P^-T B^T E^+T; -E^+T B P^-T, E^+T]
-        t = pc.p_solve_t(r1)
-        y2 = pc.E_pinv.T @ (r2 - pc.B @ t)
-        y1 = t + pc.p_solve_t(pc.B.T @ y2)
-        return np.concatenate([y1, y2])
+        return _constraint_solve(pc, r, "T")
+    r1, r2 = r[:n], r[n:]
     if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve_t(r1), pc.E_pinv.T @ r2])
+        return np.concatenate([pc.p_solve_t(r1), _e_pinv(pc, r2, 1)])
     y1 = pc.p_solve_t(r1)
-    y2 = (r2 - pc.B @ y1) / pc.h_sq_over_nu
+    y2 = (r2 - pc.dense_B @ y1) / pc.h_sq_over_nu
     return np.concatenate([y1, y2])
 
 
 def assemble(pc: Preconditioner) -> Array:
-    """Explicit dense (n+m) x (n+m) preconditioner matrix."""
+    """Explicit dense (n+m) x (n+m) preconditioner matrix, scattered from its sparse blocks."""
     n, m = pc.n, pc.m
     M = np.zeros((n + m, n + m))
-    M[:n, :n] = pc.P
     if pc.family == CONSTRAINT:
-        M[:n, n:] = pc.B.T
-        M[n:, :n] = -pc.B
+        blocks = _constraint_matrix(pc._make_p(), pc.B)
     elif pc.family == BLOCK_DIAG:
+        blocks = pc._make_p().tocoo()
         M[n:, n:] = pc.E
     else:
-        M[:n, n:] = pc.B.T
-        M[n:, n:] = pc.h_sq_over_nu * np.eye(m)
+        blocks = sps.block_array([[pc._make_p(), pc.B.T],
+                                  [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="coo")
+    M[blocks.row, blocks.col] = blocks.data
     return M

@@ -28,6 +28,9 @@ from .linalg import DEFAULT_RANK_TOL, Array, dense, null_basis, svd
 
 DEFAULT_RANGE_TOL = 1e-10
 
+#: Rows per dense block of the manufactured right-hand side A @ x*.
+RHS_BLOCK_ROWS = 64
+
 
 def wind_x(x, y):
     return 8.0 * x * (x - 1.0) * (1.0 - 2.0 * y)
@@ -60,6 +63,8 @@ class SaddleSystem:
 
     W and B are stored as ``scipy.sparse`` CSR arrays, whatever they are
     given as; dense blocks are formed where dense arithmetic needs them.
+    ``null_BT``, when given, is an orthonormal basis (m x d) of null(B^T);
+    without it :func:`null_basis_BT` takes one from an SVD of B^T.
     """
 
     W: sps.csr_array
@@ -69,8 +74,11 @@ class SaddleSystem:
     l: int | None = None
     nu: float | None = None
     raw_rhs: Array | None = field(default=None, repr=False)
+    null_BT: Array | None = field(default=None, repr=False)
     _dense_B_ref: weakref.ref | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    # set once sym(W) has passed the SPD check (see precond), which does not depend on omega
+    _h_spd: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("W", "B"):
@@ -78,6 +86,9 @@ class SaddleSystem:
             if not isinstance(M, sps.csr_array):
                 M = sps.csr_array(M, dtype=float) if sps.issparse(M) else sps.csr_array(dense(M))
                 object.__setattr__(self, name, M)
+        if self.null_BT is not None and (np.ndim(self.null_BT) != 2
+                                         or np.shape(self.null_BT)[0] != self.m):
+            raise ValueError(f"null_BT must be an m x d array with m = {self.m}")
 
     @property
     def n(self) -> int:
@@ -106,32 +117,34 @@ class SaddleSystem:
             object.__setattr__(self, "_dense_B_ref", weakref.ref(B))
         return B
 
-    def matrix(self) -> Array:
-        """Assemble the dense (n+m) x (n+m) coefficient matrix."""
-        n = self.n
-        A = sps.block_array([[self.W, self.B.T], [self.B, None]]).toarray()
-        # negate the dense block rather than B, so that its zeros read -0.0:
-        # the pinned iterates and verdicts were computed from these bytes
-        np.negative(A[n:, :n], out=A[n:, :n])
-        return A
+    def matrix(self) -> sps.csr_array:
+        """The (n+m) x (n+m) coefficient matrix [[W, B^T], [-B, 0]] as CSR."""
+        return sps.block_array([[self.W, self.B.T], [-self.B, None]], format="csr")
 
     def rhs(self) -> Array:
         return np.concatenate([self.f, self.g])
 
     def with_rhs(self, b: Array) -> "SaddleSystem":
         return SaddleSystem(W=self.W, B=self.B, f=b[: self.n], g=b[self.n :],
-                            l=self.l, nu=self.nu, raw_rhs=self.raw_rhs)
+                            l=self.l, nu=self.nu, raw_rhs=self.raw_rhs, null_BT=self.null_BT)
+
+
+def null_basis_BT(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+    """Orthonormal basis (m x d) of null(B^T): the recorded one, else one SVD of B^T."""
+    if system.null_BT is not None:
+        return system.null_BT
+    return null_basis(svd(system.B.T), rank_tol)
 
 
 def saddle_null_basis(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
-    """Orthonormal basis of {0} x null(B^T), from one SVD of the n x m block B^T.
+    """Orthonormal basis of {0} x null(B^T), with null(B^T) from :func:`null_basis_BT`.
 
     (0, y) with B^T y = 0 lies in the null space of A and of A^T.  When
     sym(W) is positive definite these are the whole null spaces: A (u; p) = 0
     gives u^T W u = -(B u)^T p = 0, so u = 0 and B^T p = 0, and likewise
     for A^T.  Without that premise the basis spans a subspace of both.
     """
-    N = null_basis(svd(system.B.T), rank_tol)
+    N = null_basis_BT(system, rank_tol)
     return np.vstack([np.zeros((system.n, N.shape[1])), N])
 
 
@@ -228,15 +241,19 @@ def build_oseen(l: int, nu: float, rhs_mode: str = "manufactured", seed: int = 0
 
     The raw load vector (boundary folding of the lid data, zero body force)
     is kept on the system for the ``projected`` right-hand-side mode; the
-    stored (f, g) come from :func:`make_consistent_rhs`.
+    stored (f, g) come from :func:`make_consistent_rhs`.  null(B^T) is
+    recorded as the constant pressure e / sqrt(m).
     """
     if l < 4:
         raise ValueError("grid too coarse: need l >= 4")
     if nu <= 0:
         raise ValueError("viscosity nu must be positive")
     W, B, f_raw, g_raw = _assemble_oseen(l, nu)
+    # every column of B holds +1/h and -1/h, so B^T e = 0 exactly
+    m = l * l
     system = SaddleSystem(W=W, B=B, f=f_raw, g=g_raw, l=l, nu=nu,
-                          raw_rhs=np.concatenate([f_raw, g_raw]))
+                          raw_rhs=np.concatenate([f_raw, g_raw]),
+                          null_BT=np.full((m, 1), 1.0 / np.sqrt(m)))
     b = make_consistent_rhs(system, mode=rhs_mode, seed=seed)
     return system.with_rhs(b)
 
@@ -252,7 +269,11 @@ def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
     """
     if mode == "manufactured":
         x_star = np.random.default_rng(seed).standard_normal(system.n + system.m)
-        return system.matrix() @ x_star
+        A = system.matrix()
+        # dense products of 64-row blocks: the bits of one dense A @ x_star
+        # (blocks of 1 or 3 rows are not), without the dense (n+m)^2 A
+        return np.concatenate([A[i:i + RHS_BLOCK_ROWS].toarray() @ x_star
+                               for i in range(0, A.shape[0], RHS_BLOCK_ROWS)])
     if mode == "projected":
         if system.raw_rhs is None:
             raise ValueError("system carries no raw load vector to project")

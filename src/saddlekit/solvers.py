@@ -89,13 +89,15 @@ class _Run:
 
     It owns A, b and ||b||, takes every true residual (recording RES and
     applying the divergence cap) and writes the report for each way a run
-    ends, so a solver's loop only makes its next iterate.
+    ends, so a solver's loop only makes its next iterate.  A is one dense
+    copy of ``system.matrix()`` per run: its products A @ x are the bits
+    every pinned iterate was computed from.
     """
 
     def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
                  cfg: SolveConfig | None, case_label: str):
         self.cfg = cfg = cfg or SolveConfig()
-        self.A = system.matrix()
+        self.A = system.matrix().toarray()
         self.b = system.rhs()
         self.b_norm = float(np.linalg.norm(self.b)) or 1.0
         self.x0 = (np.zeros_like(self.b) if cfg.x0 is None

@@ -261,3 +261,25 @@ def test_solve_flag_defaults_are_solve_config(argv):
     args = cli.make_parser().parse_args(list(argv))
     cfg = SolveConfig()
     assert (args.tol, args.max_iters, args.restart) == (cfg.tol, cfg.max_iters, cfg.restart)
+
+
+def test_python_m_saddlekit(tmp_path):
+    # `python -m saddlekit` runs the same command line as the installed script
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import saddlekit
+
+    env = dict(os.environ)
+    src = str(Path(saddlekit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["solve", "--case", "I", "--solver", "gcp", "-l", "4", "--nu", "0.5", "--omega", "1.0"]
+    proc = subprocess.run([sys.executable, "-m", "saddlekit", *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "converged" in proc.stdout
+    usage = subprocess.run([sys.executable, "-m", "saddlekit", "table", "5"], env=env,
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert usage.returncode == EXIT_USAGE

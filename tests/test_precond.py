@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dtrtrs
 
@@ -24,10 +25,11 @@ from saddlekit import (
     build_oseen,
     build_random_singular,
 )
-from saddlekit import precond
+from saddlekit import LinAlgFailure, omega_sweep, precond
 from saddlekit.analysis import pd_bound
 from saddlekit.linalg import pinv
 from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
+from saddlekit.solvers import INFEASIBLE
 from saddlekit.problems import skew_part, symmetric_part
 
 
@@ -102,15 +104,20 @@ class TestBuild:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lazy_p_is_bit_exact(self, family):
         s = saddle(5)
-        H, S = symmetric_part(s.W).toarray(), skew_part(s.W).toarray()
+        H, S = symmetric_part(s.W), skew_part(s.W)
         omega = 0.5 * pd_bound(s.W)
         pc = build(s, family, PChoice(kind="symmetric_scaled", omega=omega))
         assert "P" not in vars(pc)  # formed on first use only
-        assert np.array_equal(pc.P, omega * H)
+        assert np.array_equal(pc.P, (omega * H).toarray())
         pc = build(s, family, PChoice(kind="triangular_split", omega=omega))
-        I = np.eye(s.n)
-        expected = (1.0 / omega) * ((I + omega * np.tril(S, -1)) @ (I + omega * np.triu(S, 1)))
-        assert np.array_equal(pc.P, expected)
+        # (1/omega)(I + omega L_s)(I + omega U_s), expanded and formed sparse
+        L_s, U_s = sps.tril(S, -1, format="csr"), sps.triu(S, 1, format="csr")
+        sparse = S + sps.eye_array(s.n, format="csr") / omega + omega * (L_s @ U_s)
+        assert pc.P.tobytes() == sparse.toarray().tobytes()
+        # the dense product it replaces, to a few ulps
+        I, Sd = np.eye(s.n), S.toarray()
+        product = (1.0 / omega) * ((I + omega * np.tril(Sd, -1)) @ (I + omega * np.triu(Sd, 1)))
+        assert np.abs(pc.P - product).max() <= 4 * np.finfo(float).eps * np.abs(product).max()
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split", "custom"])
@@ -127,7 +134,7 @@ class TestBuild:
 
     def test_triangular_p_product(self):
         s = saddle(2)
-        pc = build(s, CONSTRAINT, valid_choice(s, "triangular_split", 2))
+        pc = build(s, BLOCK_DIAG, valid_choice(s, "triangular_split", 2))
         v = np.random.default_rng(3).standard_normal(s.n)
         assert np.allclose(pc.P @ pc.p_solve(v), v, atol=1e-9)
         assert np.allclose(pc.P.T @ pc.p_solve_t(v), v, atol=1e-9)
@@ -135,9 +142,13 @@ class TestBuild:
     def test_custom_p(self):
         s = saddle(3)
         P = np.diag(np.arange(1.0, s.n + 1))
-        pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=P))
+        pc = build(s, BLOCK_TRI, PChoice(kind="custom", custom_p=P))
         v = np.ones(s.n)
         assert np.allclose(pc.p_solve(v), v / np.diag(P))
+        pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=P))
+        assert np.array_equal(pc.P, P)
+        with pytest.raises(ValueError, match="keeps no factor of P"):
+            pc.p_solve(v)
 
 
 @pytest.mark.parametrize("family", [CONSTRAINT, BLOCK_DIAG])
@@ -222,7 +233,7 @@ def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
         solve = lambda x: sla.lu_solve(lu, x)
         solve_t = lambda x: sla.lu_solve(lu, x, trans=1)
         choice = PChoice(kind=kind, custom_p=P)
-    pc = build(s, CONSTRAINT, choice, enforce_pd=False)
+    pc = build(s, BLOCK_DIAG, choice, enforce_pd=False)
     g = np.random.default_rng(5)
     for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
         for got, want in ((pc.p_solve(x), solve(x)), (pc.p_solve_t(x), solve_t(x))):
@@ -262,7 +273,7 @@ def test_one_factor_array_matches_two(system):
     else:
         l, nu, omega = system
         s = build_oseen(l, nu)
-    pc = build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
+    pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
     solve, solve_t = _two_array_solves(s, omega)
     g = np.random.default_rng(9)
     for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
@@ -276,15 +287,33 @@ def test_triangular_build_keeps_one_square_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pc = build(s, CONSTRAINT, PChoice(kind="triangular_split", omega=0.05))
+        pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=0.05))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    own = pc.B.nbytes + pc.E_pinv.nbytes
-    # one n x n array (F) beyond B and E^+, with room for small objects
+    own = pc.dense_B.nbytes
+    # one n x n array (F) beyond B, with room for small objects
     assert kept - base - own <= square + 64 * 1024
     # the highest point is the PD gate's SVD of L_s, before F exists
     assert peak - base - own <= 2.5 * square
+
+
+@pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
+def test_constraint_build_holds_no_square_array(kind, omega):
+    s = build_oseen(16, 0.001)
+    _ = s.dense_B()  # a B some other holder formed must not be picked up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pc = build(s, CONSTRAINT, PChoice(kind=kind, omega=omega), enforce_pd=False)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
+    assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
+    assert pc.dense_B is None and pc.E is None and pc.E_lu is None
+    # the sparse LU of the pinned M is a small fraction of one dense n x n array
+    assert kept - base <= 0.25 * 8 * s.n * s.n
 
 
 @pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split"])
@@ -316,10 +345,14 @@ def _six_builds(s):
 
 
 def test_builds_share_one_read_only_dense_b():
+    # the block-triangular applies read a dense B; the other families keep none
     s = build_oseen(16, 0.001)
     pcs = _six_builds(s)
-    B = pcs[0].B
-    assert all(pc.B is B for pc in pcs)
+    kept = [pc.dense_B for pc in pcs if pc.family == BLOCK_TRI]
+    B = kept[0]
+    assert len(kept) == 2 and all(b is B for b in kept)
+    assert all(pc.dense_B is None for pc in pcs if pc.family != BLOCK_TRI)
+    assert all(pc.B is s.B for pc in pcs)  # the system's own CSR B, for assemble
     assert not B.flags.writeable
     with pytest.raises(ValueError):
         B[0, 0] = 1.0
@@ -330,8 +363,8 @@ def test_dense_b_freed_with_its_last_holder():
     s = build_oseen(16, 0.1)
     pcs = _six_builds(s)
     ref = s._dense_B_ref
-    old = pcs[0].B.tobytes()
-    assert ref() is pcs[0].B
+    old = pcs[-1].dense_B.tobytes()
+    assert ref() is pcs[-1].dense_B
     del pcs
     gc.collect()
     assert ref() is None  # the system alone does not keep B alive
@@ -388,7 +421,7 @@ def test_assemble_matches_inline_blocks(family, kind):
     M[:n, :n] = pc.P
     if family == CONSTRAINT:
         M[:n, n:] = B.T
-        M[n:, :n] = -B
+        M[n:, :n] = (-s.B).toarray()  # scattered from the sparse -B: zeros are +0.0
     elif family == BLOCK_DIAG:
         M[n:, n:] = B @ pc.p_solve(B.T)
     else:
@@ -409,4 +442,79 @@ def test_six_builds_allocate_one_dense_b():
     # an m x n buffer alive after the builds can only be B (P^{-1} B^T is freed)
     alive = [t for t in snapshot.traces if t.size == size]
     assert len(alive) == 1
-    assert all(pc.B is pcs[0].B for pc in pcs)
+    assert pcs[-2].dense_B is pcs[-1].dense_B
+
+
+@pytest.mark.parametrize("system", [
+    *[pytest.param(("random", d), id=f"random-null{d}") for d in (1, 2, 3)],
+    *[pytest.param(("oseen", nu), id=f"oseen8-{nu}") for nu in (0.1, 0.001)],
+])
+@pytest.mark.parametrize("family,kind", [(CONSTRAINT, SYMMETRIC_SCALED),
+                                         (CONSTRAINT, TRIANGULAR_SPLIT),
+                                         (BLOCK_DIAG, SYMMETRIC_SCALED),
+                                         (BLOCK_DIAG, TRIANGULAR_SPLIT)],
+                         ids=["I", "II", "III", "IV"])
+def test_lu_pseudo_inverse_matches_pinv(system, family, kind):
+    if system[0] == "random":
+        s = build_random_singular(n=12, m=6, rank_b=6 - system[1], seed=system[1])
+        tri_omega = 0.5 * pd_bound(s.W)
+    else:
+        s, tri_omega = build_oseen(8, system[1]), 0.05
+    omega = 1.0 if kind == SYMMETRIC_SCALED else tri_omega
+    pc = build(s, family, PChoice(kind=kind, omega=omega))
+    M_dag = np.linalg.pinv(assemble(pc))
+    R = np.random.default_rng(4).standard_normal((s.n + s.m, 3))
+    for got, want in ((apply_pseudo_inverse(pc, R), M_dag @ R),
+                      (apply_pseudo_inverse_transpose(pc, R), M_dag.T @ R),
+                      (apply_pseudo_inverse(pc, R[:, 0]), M_dag @ R[:, 0])):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_case_ii_at_l32_is_exact():
+    # l=32, nu=0.001, omega=0.05 (triangular split beyond its PD bound): the
+    # explicit block formula on E^+ left a residual of 6.8e-2 here
+    s = build_oseen(32, 0.001)
+    pc = build(s, CONSTRAINT, PChoice(kind=TRIANGULAR_SPLIT, omega=0.05), enforce_pd=False)
+    M = assemble(pc)
+    V = np.zeros(s.n + s.m)
+    V[s.n:] = 1.0 / np.sqrt(s.m)
+    R = np.random.default_rng(2).standard_normal((s.n + s.m, 2))
+    target = R - np.outer(V, V @ R)
+    norms = np.linalg.norm(R, axis=0)
+    assert (np.linalg.norm(M @ apply_pseudo_inverse(pc, R) - target, axis=0) / norms).max() <= 1e-8
+    assert (np.linalg.norm(M.T @ apply_pseudo_inverse_transpose(pc, R) - target, axis=0)
+            / norms).max() <= 1e-8
+
+
+def test_h_spd_check_runs_once_per_system(monkeypatch):
+    s = build_oseen(8, 0.1)
+    calls = []
+    real = precond.cholesky
+    monkeypatch.setattr(precond, "cholesky", lambda A: calls.append(A.shape) or real(A))
+    for omega in (0.5, 1.0, 2.0):
+        build(s, CONSTRAINT, PChoice(kind=SYMMETRIC_SCALED, omega=omega))
+    assert calls == [(s.n, s.n)]
+    # the block families factor omega H itself, on every build
+    build(s, BLOCK_DIAG, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
+    assert len(calls) == 2
+
+
+def _zero_row_system():
+    """B with a zero last row, recorded as having no null vector of B^T:
+    the last pressure row of M and of E is then exactly zero."""
+    s = build_random_singular(n=8, m=4, rank_b=3, seed=1)
+    B = np.vstack([np.random.default_rng(1).standard_normal((3, s.n)), np.zeros((1, s.n))])
+    return SaddleSystem(W=s.W, B=B, f=s.f, g=s.g, null_BT=np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("family", [CONSTRAINT, BLOCK_DIAG])
+def test_singular_factor_raises_linalg_failure(family):
+    # SuperLU's RuntimeError for the pinned M, LAPACK's info for E + N N^T
+    with pytest.raises(LinAlgFailure, match="singular"):
+        build(_zero_row_system(), family, PChoice(kind=SYMMETRIC_SCALED))
+
+
+@pytest.mark.parametrize("family", [CONSTRAINT, BLOCK_DIAG])
+def test_singular_factor_is_an_infeasible_sweep_point(family):
+    reports = omega_sweep(_zero_row_system(), family, TRIANGULAR_SPLIT, [0.01, 0.02])
+    assert [r.status for r in reports] == [INFEASIBLE, INFEASIBLE]

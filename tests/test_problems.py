@@ -18,6 +18,7 @@ from saddlekit import (
 from saddlekit.linalg import numerical_rank
 from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, saddle_null_basis,
                                 skew_part, symmetric_part, wind_x, wind_y)
+from saddlekit.solvers import _Run
 
 
 class TestWind:
@@ -72,7 +73,7 @@ class TestOseen:
 
     def test_rhs_consistent(self):
         s = build_oseen(8, 0.1)
-        A = s.matrix()
+        A = s.matrix().toarray()
         b = s.rhs()
         # component along the left null space must vanish
         x = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -80,7 +81,7 @@ class TestOseen:
 
     def test_projected_rhs_consistent(self):
         s = build_oseen(8, 0.1, rhs_mode="projected")
-        A, b = s.matrix(), s.rhs()
+        A, b = s.matrix().toarray(), s.rhs()
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -129,7 +130,7 @@ class TestRandomSingular:
     def test_rank_and_consistency(self, seed):
         s = build_random_singular(n=8, m=4, rank_b=3, seed=seed)
         assert numerical_rank(s.B) == 3
-        A, b = s.matrix(), s.rhs()
+        A, b = s.matrix().toarray(), s.rhs()
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(A @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
@@ -142,7 +143,7 @@ def test_make_consistent_rhs_modes():
     s = build_random_singular(n=6, m=3, rank_b=2, seed=1)
     b1 = make_consistent_rhs(s, mode="manufactured", seed=5)
     x_star = np.random.default_rng(5).standard_normal(s.n + s.m)
-    assert np.array_equal(b1, s.matrix() @ x_star)
+    assert np.array_equal(b1, s.matrix().toarray() @ x_star)
     with pytest.raises(ValueError):
         make_consistent_rhs(s, mode="bogus")
     with pytest.raises(ValueError):
@@ -180,14 +181,14 @@ def test_saddle_null_basis_matches_svd_of_a(system):
         s = build_oseen(8, system[1])
     N = saddle_null_basis(s)
     assert np.all(N[: s.n] == 0.0)
-    for oracle in _svd_null_spaces(s.matrix()):
+    for oracle in _svd_null_spaces(s.matrix().toarray()):
         assert N.shape[1] == oracle.shape[1] >= 1
         assert sla.subspace_angles(N, oracle).max() <= 1e-10
 
 
 def test_projected_rhs_matches_svd_projection():
     s = build_oseen(8, 0.1, rhs_mode="projected")
-    _, null_left = _svd_null_spaces(s.matrix(), 1e-10)
+    _, null_left = _svd_null_spaces(s.matrix().toarray(), 1e-10)
     b = s.raw_rhs
     assert np.allclose(s.rhs(), b - null_left @ (null_left.T @ b), rtol=0, atol=1e-12 * np.abs(b).max())
 
@@ -225,13 +226,81 @@ def test_sparse_blocks_not_densified(convert, monkeypatch):
         assert got.toarray().tobytes() == want.toarray().tobytes()
 
 
+@pytest.mark.parametrize("l", [4, 8, 16])
+def test_recorded_null_basis_spans_svd_null_space(l):
+    for nu in (0.1, 0.001):
+        s = build_oseen(l, nu)
+        assert np.array_equal(s.null_BT, np.full((s.m, 1), 1.0 / l))
+        assert np.array_equal(s.B.T @ s.null_BT, np.zeros((s.n, 1)))  # exactly
+        _, sv, Vt = np.linalg.svd(s.B.T.toarray())
+        oracle = Vt.T[:, sv <= 1e-12 * sv[0]]
+        assert oracle.shape == (s.m, 1)
+        assert sla.subspace_angles(s.null_BT, oracle).max() <= 1e-10
+        assert np.array_equal(saddle_null_basis(s)[s.n:], s.null_BT)
+        assert np.array_equal(s.with_rhs(s.rhs()).null_BT, s.null_BT)
+
+
+def test_null_bt_shape_checked():
+    s = build_oseen(4, 0.1)
+    for bad in (np.ones(s.m), np.ones((s.m + 1, 1))):
+        with pytest.raises(ValueError, match="null_BT"):
+            SaddleSystem(W=s.W, B=s.B, f=s.f, g=s.g, null_BT=bad)
+
+
+def _blockwise(s):
+    """A filled block by block, with the (2,1) block negated densely (zeros -0.0)."""
+    n, m = s.n, s.m
+    A = np.zeros((n + m, n + m))
+    A[:n, :n] = s.W.toarray()
+    A[:n, n:] = s.B.T.toarray()
+    A[n:, :n] = -s.B.toarray()
+    return A
+
+
 @pytest.mark.parametrize("nu", [0.1, 0.001])
 def test_matrix_bytes_match_blockwise_fill(nu):
-    # the reference fills A block by block; its (2,1) zeros are -0.0
+    # the solver's dense copy of the CSR matrix(); its (2,1) zeros are +0.0
     for s in (build_oseen(8, nu), build_random_singular(n=10, m=5, rank_b=4, seed=3)):
-        n, m = s.n, s.m
-        A = np.zeros((n + m, n + m))
-        A[:n, :n] = s.W.toarray()
-        A[:n, n:] = s.B.T.toarray()
-        A[n:, :n] = -s.B.toarray()
-        assert s.matrix().tobytes() == A.tobytes()
+        A = s.matrix()
+        assert isinstance(A, sps.csr_array)
+        dense = _Run(s, None, None, "").A
+        ref = _blockwise(s)
+        assert np.array_equal(dense, ref)
+        n = s.n
+        ref[n:, :n] += 0.0  # -0.0 + 0.0 = +0.0
+        assert dense.tobytes() == ref.tobytes()
+        # the sign of a zero does not reach A @ x
+        x = np.random.default_rng(1).standard_normal(s.n + s.m)
+        assert (dense @ x).tobytes() == (_blockwise(s) @ x).tobytes()
+
+
+# sha256 of rhs() at the bits of the dense b = A x* (the manufactured mode)
+RHS_DIGESTS = [
+    (4, 0.1, "cc7ee1d31afdc93fb61a9210b74e2d93e1eaadcb5abc9d0b9036bc43d57e6d99"),
+    (4, 0.001, "4201efff2016d2580e4e2a10a1b32f30b725c6093b3959896018011986c1e902"),
+    (5, 0.1, "29af09e5baddcb3b88e98e8732d932fd39d2a2bf8bf85fc61d1e1c979ef545c8"),
+    (5, 0.001, "1bbc0eda6d45cd3913059b9365ff78a7aa5d9f7e255363d271a988303c9bf1ce"),
+    (8, 0.1, "ad3fb3c50f7b4b5a0497a7327eee72fc173f24bb7714b9a6b5f6e7150927505c"),
+    (8, 0.001, "ada143a4955e8dcad4f490cfed32ee9be0b82b33a7b32b084f61c3462e126f58"),
+    (16, 0.1, "2ad9341a112dc721cccf2f27ddb783ab0e46b1c6928ed2d3f97ed5de2a7d7cb9"),
+    (16, 0.001, "7e1affbf5e12362f724a647c5f5b3252f2a709f6325989c941816073d6ada684"),
+    (32, 0.1, "47350f3f5195a1a502e88fab65caae553c72bc1c1a82bd0e13efd58d6dc8e489"),
+    (32, 0.001, "da720e975515c05b24820655f8f4b3a51a34077bea29a18136a3712196bc7b64"),
+]
+
+
+@pytest.mark.parametrize("l,nu,digest", RHS_DIGESTS)
+def test_manufactured_rhs_pinned(l, nu, digest):
+    assert hashlib.sha256(build_oseen(l, nu).rhs().tobytes()).hexdigest() == digest
+
+
+def test_manufactured_rhs_forms_no_dense_a():
+    s = build_oseen(32, 0.001)
+    N = s.n + s.m
+    tracemalloc.start()
+    try:
+        make_consistent_rhs(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * N * N  # 64-row blocks, not the 72 MB dense A
