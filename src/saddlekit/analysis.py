@@ -65,7 +65,14 @@ def compute_X(system: SaddleSystem, pc: Preconditioner) -> Array:
 
 
 def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner) -> float:
-    """gamma(X(P - W)); the stationary scheme converges iff this is < 1."""
+    """gamma(X(P - W)); the stationary scheme converges iff this is < 1.
+
+    For the triangular split beyond ``pd_bound(W)`` the value is set by
+    rounding, not by the method: P is then ill conditioned (at l=8, cond(P)
+    is 1.4e11 at omega=0.5 and 1e17 or more from omega=1.5 on), and
+    algebraically equal products for X give different gamma.  Nothing here
+    flags it; ``saddlekit analyze`` refuses such omega.
+    """
     X = compute_X(system, pc)
     return pseudospectral_radius(X @ (pc.P - dense(system.W)))
 
@@ -75,7 +82,9 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
 
     null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
     it under the premise sym(W) > 0, a subset otherwise, so the null-space
-    test can only be stricter than one against an SVD of A.
+    test can only be stricter than one against an SVD of A.  ``gamma_XPW``
+    carries the caveat of :func:`gcp_convergence_indicator`: for the
+    triangular split beyond ``pd_bound(W)`` it is set by rounding.
     """
     if pc.family not in (CONSTRAINT, BLOCK_DIAG):
         raise ValueError("convergence conditions apply to the singular families")

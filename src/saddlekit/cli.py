@@ -38,7 +38,6 @@ from .solvers import (
     best_report,
     omega_sweep,
     solve_with,
-    sweep_threads,
 )
 
 EXIT_OK = 0
@@ -115,14 +114,6 @@ def parse_omega_grid(text: str) -> list[float]:
     return [float(w) for w in np.arange(a, b + 0.5 * step, step)]
 
 
-def check_threads() -> None:
-    """Reject a bad SADDLEKIT_THREADS as a usage error before any sweep."""
-    try:
-        sweep_threads()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def default_solver(case: str) -> str:
     return "stationary" if CASE_MAP[case][0] == BLOCK_TRI else "gcp"
 
@@ -171,6 +162,13 @@ def build_case(system, case: str, omega: float, enforce_pd: bool = False):
     family, kind = CASE_MAP[case]
     return _premised(system, build, system, family,
                      _checked(PChoice, kind=kind, omega=omega), enforce_pd=enforce_pd)
+
+
+def sweep_case(system, case: str, grid, solver: str, cfg: SolveConfig):
+    """One report per grid omega for a case, built without the PD gate."""
+    family, kind = CASE_MAP[case]
+    return omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
+                       case_label=case, enforce_pd=False)
 
 
 # every flag that more than one command takes, declared once:
@@ -277,13 +275,9 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     solver = resolve_solver(args.case, args.solver)
     grid = parse_omega_grid(args.omega_grid)
-    check_threads()
     cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
-    family, kind = CASE_MAP[args.case]
-    reports = omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
-                          case_label=args.case, enforce_pd=False)
-    reports.sort(key=lambda r: r.omega)
+    reports = sweep_case(system, args.case, grid, solver, cfg)
     best = best_report(reports)
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
@@ -333,19 +327,13 @@ def cmd_analyze(args) -> int:
 
 def _table_cell(system, case, solver, omega, cfg):
     """Best converged report among {0.9, 1.0, 1.1} x published omega."""
-    family, kind = CASE_MAP[case]
-    reports = omega_sweep(system, family, kind,
-                          [0.9 * omega, omega, 1.1 * omega], solver=solver,
-                          cfg=cfg, case_label=case, enforce_pd=False)
-    return best_report(reports)
+    return best_report(sweep_case(system, case, [0.9 * omega, omega, 1.1 * omega],
+                                  solver, cfg))
 
 
 def _table_dash_confirmed(system, case, solver, cfg):
     """True when no grid omega converges (the table's '-' mark)."""
-    family, kind = CASE_MAP[case]
-    reports = omega_sweep(system, family, kind, DASH_GRID, solver=solver,
-                          cfg=cfg, case_label=case, enforce_pd=False)
-    return not any(r.converged for r in reports)
+    return not any(r.converged for r in sweep_case(system, case, DASH_GRID, solver, cfg))
 
 
 def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[dict]:
@@ -377,7 +365,6 @@ def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[di
 def cmd_table(args) -> int:
     if args.l not in (16, 32):
         raise UsageError("published omegas are tabulated for l in {16, 32}")
-    check_threads()
     cfg = _solve_config(args)
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
     buf = io.StringIO()

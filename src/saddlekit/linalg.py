@@ -95,13 +95,9 @@ def cholesky(A: Array) -> Array:
     if sps.issparse(A):
         if not np.isfinite(A.data).all():
             raise ValueError("matrix has non-finite entries")
-        entries, asym = A.data, (A - A.T).data
     else:
         A = _as_matrix(A)
-        entries, asym = A, A - A.T
-    scale = np.abs(entries).max(initial=0.0)
-    if scale > 0 and np.abs(asym).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
+    _check_symmetric(A)
     try:
         return np.linalg.cholesky(dense(A))
     except np.linalg.LinAlgError as exc:
@@ -150,11 +146,18 @@ def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
+def _check_symmetric(A) -> None:
+    """Raise unless max|A - A^T| <= 1e-12 max|A|; a sparse A on its stored entries."""
+    asym = A - A.T
+    entries, asym = (A.data, asym.data) if sps.issparse(A) else (A, asym)
+    scale = np.abs(entries).max(initial=0.0)
+    if scale > 0 and np.abs(asym).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric")
+
+
 def _sym_eig(A: Array) -> tuple[Array, Array]:
     A = _as_matrix(A)
-    scale = np.abs(A).max()
-    if scale > 0 and np.abs(A - A.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
+    _check_symmetric(A)
     return np.linalg.eigh(A)
 
 

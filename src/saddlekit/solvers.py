@@ -9,8 +9,6 @@ the stationary scheme.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +47,21 @@ class SolveConfig:
 
 @dataclass
 class IterationReport:
-    converged: bool
     iterations: int
     residual_history: list[float]
-    final_res: float
     omega: float
     case_label: str = ""
     status: str = ""
     x: Array | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == CONVERGED
+
+    @property
+    def final_res(self) -> float:
+        """The last recorded RES; NaN when none was taken."""
+        return self.residual_history[-1] if self.residual_history else float("nan")
 
 
 class DivergenceError(RuntimeError):
@@ -75,13 +80,6 @@ class BreakdownError(RuntimeError):
         super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
         self.report = report
-
-
-def _report(status: str, iterations: int, history: list[float], omega: float,
-            case_label: str, x: Array | None = None) -> IterationReport:
-    final_res = history[-1] if history else float("nan")
-    return IterationReport(status == CONVERGED, iterations, history, final_res,
-                           omega, case_label, status, x=x)
 
 
 class _Run:
@@ -129,7 +127,7 @@ class _Run:
         """The report of a run ending after k steps: converged or max_iters by default."""
         if status is None:
             status = CONVERGED if self.converged else MAX_ITERS
-        return _report(status, k, self.history, self.omega, self.case_label, x)
+        return IterationReport(k, self.history, self.omega, self.case_label, status, x)
 
 
 def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
@@ -301,44 +299,25 @@ def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
                 omega_grid, solver: str = "gcp",
                 cfg: SolveConfig | None = None, case_label: str = "",
-                **build_kwargs) -> list[IterationReport]:
+                enforce_pd: bool = True) -> list[IterationReport]:
     """One report per omega, in grid order; failures are flagged, not raised.
 
-    Parallelism is set by the SADDLEKIT_THREADS environment variable, an
-    integer from 1 to the CPU count (default 1, serial); any other value
-    raises ValueError before any work starts.  Results are deterministic in
-    grid order either way.
+    An omega whose preconditioner cannot be built (``build`` raises
+    ValueError or LinAlgFailure) gets an ``infeasible`` report.
     """
     omegas = list(omega_grid)
     if not omegas:
         raise ValueError("omega grid must be nonempty")
-    workers = sweep_threads()
 
     def run(omega: float) -> IterationReport:
         try:
-            pc = build(system, family, PChoice(kind=p_kind, omega=omega), **build_kwargs)
+            pc = build(system, family, PChoice(kind=p_kind, omega=omega),
+                       enforce_pd=enforce_pd)
         except (ValueError, LinAlgFailure):
-            return _report(INFEASIBLE, 0, [], omega, case_label)
+            return IterationReport(0, [], omega, case_label, INFEASIBLE)
         return solve_with(solver, system, pc, cfg, case_label)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, omegas))
     return [run(omega) for omega in omegas]
-
-
-def sweep_threads() -> int:
-    """Worker count from SADDLEKIT_THREADS: an integer in [1, os.cpu_count()]."""
-    text = os.environ.get("SADDLEKIT_THREADS", "1")
-    limit = os.cpu_count() or 1
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if not 1 <= workers <= limit:
-        raise ValueError(f"SADDLEKIT_THREADS must be an integer from 1 to {limit}, "
-                         f"got {text!r}")
-    return workers
 
 
 def best_report(reports) -> IterationReport | None:
