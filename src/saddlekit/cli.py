@@ -109,8 +109,8 @@ def parse_omega_grid(text: str) -> list[float]:
         a, b, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad omega grid {text!r}: expected a:b:step") from exc
-    if step <= 0 or b < a:
-        raise UsageError(f"bad omega grid {text!r}: need a <= b and step > 0")
+    if not np.isfinite([a, b, step]).all() or step <= 0 or b < a:
+        raise UsageError(f"bad omega grid {text!r}: need finite a <= b and step > 0")
     return [float(w) for w in np.arange(a, b + 0.5 * step, step)]
 
 

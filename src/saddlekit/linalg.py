@@ -131,7 +131,7 @@ def pseudospectral_radius(A: Array, one_tol: float = DEFAULT_ONE_TOL) -> float:
 
 def spectral_norm(A: Array) -> float:
     """Largest singular value."""
-    return float(svd(A).singular_values[0]) if min(A.shape) else 0.0
+    return float(_lapack_svd(A, compute_uv=False)[0]) if min(A.shape) else 0.0
 
 
 def numerical_rank(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -52,8 +52,8 @@ class PChoice:
     def __post_init__(self):
         if self.kind not in (SYMMETRIC_SCALED, TRIANGULAR_SPLIT, CUSTOM):
             raise ValueError(f"unknown P kind {self.kind!r}")
-        if self.kind != CUSTOM and self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if self.kind != CUSTOM and not 0 < self.omega < np.inf:
+            raise ValueError("omega must be positive and finite")
         if self.kind == CUSTOM and self.custom_p is None:
             raise ValueError("custom P kind needs an explicit matrix")
 

@@ -246,8 +246,8 @@ def build_oseen(l: int, nu: float, rhs_mode: str = "manufactured", seed: int = 0
     """
     if l < 4:
         raise ValueError("grid too coarse: need l >= 4")
-    if nu <= 0:
-        raise ValueError("viscosity nu must be positive")
+    if not 0 < nu < np.inf:
+        raise ValueError("viscosity nu must be positive and finite")
     W, B, f_raw, g_raw = _assemble_oseen(l, nu)
     # every column of B holds +1/h and -1/h, so B^T e = 0 exactly
     m = l * l

@@ -4,7 +4,8 @@ All methods terminate on RES = ||b - A x_k||_2 / ||b||_2 < tol, recomputed
 from the original (unpreconditioned) system at every step.  Krylov methods
 are preconditioned from the left with M^+ (exact M_t^{-1} for the
 nonsingular block-triangular family), matching the fixed-point operator of
-the stationary scheme.
+the stationary scheme.  Every solver returns its IterationReport, whatever
+the outcome: divergence, breakdown and stagnation are statuses, not errors.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ class SolveConfig:
     tol: float = 1e-6
     max_iters: int = 5000
     restart: int = 10
-    x0: Array | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.restart < 1:
+        if not 0 < self.tol < np.inf or self.max_iters < 1 or self.restart < 1:
             raise ValueError("invalid solve configuration")
 
 
@@ -64,32 +64,14 @@ class IterationReport:
         return self.residual_history[-1] if self.residual_history else float("nan")
 
 
-class DivergenceError(RuntimeError):
-    """Iterate blew up (RES above cap or non-finite)."""
-
-    def __init__(self, report: IterationReport):
-        super().__init__(f"divergence at iteration {report.iterations}, "
-                         f"last finite RES = {report.final_res:.3e}")
-        self.report = report
-
-
-class BreakdownError(RuntimeError):
-    """Krylov recurrence broke down without convergence."""
-
-    def __init__(self, message: str, iteration: int, report: IterationReport):
-        super().__init__(f"{message} at iteration {iteration}")
-        self.iteration = iteration
-        self.report = report
-
-
 class _Run:
     """The stopping rule every solver shares.
 
     It owns A, b and ||b||, takes every true residual (recording RES and
     applying the divergence cap) and writes the report for each way a run
-    ends, so a solver's loop only makes its next iterate.  A is one dense
-    copy of ``system.matrix()`` per run: its products A @ x are the bits
-    every pinned iterate was computed from.
+    ends, so a solver's loop only makes its next iterate from x = 0 until
+    ``done``.  A is one dense copy of ``system.matrix()`` per run: its
+    products A @ x are the bits every pinned iterate was computed from.
     """
 
     def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
@@ -98,34 +80,44 @@ class _Run:
         self.A = system.matrix().toarray()
         self.b = system.rhs()
         self.b_norm = float(np.linalg.norm(self.b)) or 1.0
-        self.x0 = (np.zeros_like(self.b) if cfg.x0 is None
-                   else np.asarray(cfg.x0, dtype=float))
         self.omega = 1.0 if pc is None else pc.p_choice.omega
         self.case_label = case_label
         self.history: list[float] = []
+        self.diverged = False
 
     def residual(self, x: Array, k: int) -> Array:
         """r = b - A x at step k; records RES = ||r|| / ||b||.
 
         From step 1 on, a RES that is not finite or exceeds DIVERGENCE_CAP
-        raises DivergenceError; RES of the initial guess is recorded as is.
+        is not recorded but marks the run diverged; RES of the initial guess
+        is recorded as is.
         """
         # A residual too large to square reads as inf, which flags divergence
         with np.errstate(over="ignore"):
             r = self.b - self.A @ x
             res = float(np.linalg.norm(r) / self.b_norm)
         if k > 0 and (not np.isfinite(res) or res > DIVERGENCE_CAP):
-            raise DivergenceError(self.end(k, status=DIVERGED))
-        self.history.append(res)
+            self.diverged = True
+        else:
+            self.history.append(res)
         return r
 
     @property
     def converged(self) -> bool:
         return self.history[-1] < self.cfg.tol
 
+    @property
+    def done(self) -> bool:
+        return self.diverged or self.converged
+
     def end(self, k: int, x: Array | None = None, status: str | None = None) -> IterationReport:
-        """The report of a run ending after k steps: converged or max_iters by default."""
-        if status is None:
+        """The report of a run ending after k steps: converged or max_iters by default.
+
+        A diverged run always ends ``diverged`` and carries no x.
+        """
+        if self.diverged:
+            status, x = DIVERGED, None
+        elif status is None:
             status = CONVERGED if self.converged else MAX_ITERS
         return IterationReport(k, self.history, self.omega, self.case_label, status, x)
 
@@ -138,10 +130,10 @@ def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
     step makes one product with A.
     """
     run = _Run(system, pc, cfg, case_label)
-    x = run.x0
+    x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     k = 0
-    while not run.converged and k < run.cfg.max_iters:
+    while not run.done and k < run.cfg.max_iters:
         k += 1
         x = x + apply_pseudo_inverse(pc, r)
         r = run.residual(x, k)
@@ -165,20 +157,19 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
     run = _Run(system, pc, cfg, case_label)
     cfg = run.cfg
     m_apply, _ = _precondition(pc)
-    x = run.x0
+    x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     total = 0
     tiny = 1e-14
-    while not run.converged and total < cfg.max_iters:
+    while not run.done and total < cfg.max_iters:
         r_p = m_apply(r)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(r_p))
         if not np.isfinite(beta):
-            raise DivergenceError(run.end(total, status=DIVERGED))
+            return run.end(total, status=DIVERGED)
         if beta <= tiny * run.b_norm:
             # preconditioned residual vanished without true convergence
-            raise BreakdownError("GMRES stagnation: zero preconditioned residual",
-                                 total, run.end(total, x, STAGNATED))
+            return run.end(total, x, STAGNATED)
         steps = min(cfg.restart, cfg.max_iters - total)
         V = np.zeros((x.size, steps + 1))
         Hm = np.zeros((steps + 1, steps))
@@ -200,12 +191,11 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
             y, *_ = np.linalg.lstsq(Hm[: k + 2, : k + 1], e1, rcond=None)
             xk = x + V[:, : k + 1] @ y
             r = run.residual(xk, total)
-            if run.converged or happy:
+            if run.done or happy:
                 break
         x = xk
-        if happy and not run.converged:
-            raise BreakdownError("GMRES stagnation: happy breakdown without convergence",
-                                 total, run.end(total, x, STAGNATED))
+        if happy and not run.done:
+            return run.end(total, x, STAGNATED)
     return run.end(total, x)
 
 
@@ -226,10 +216,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     def op_t(v):
         return A.T @ m_apply_t(v)
 
-    def breakdown(message):
-        return BreakdownError(message, k, run.end(k - 1, x, BREAKDOWN))
-
-    x = run.x0
+    x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     if run.converged:
         return run.end(0, x)
@@ -244,13 +231,13 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     p = q = d = None
 
     for k in range(1, run.cfg.max_iters + 1):
-        if abs(rho) <= tiny or abs(xi) <= tiny:
-            raise breakdown("QMR Lanczos breakdown (rho or xi vanished)")
+        if abs(rho) <= tiny or abs(xi) <= tiny:  # Lanczos breakdown
+            return run.end(k - 1, x, BREAKDOWN)
         v = v_t / rho
         w = w_t / xi
         delta = float(w @ v)
-        if abs(delta) <= tiny:
-            raise breakdown("QMR Lanczos breakdown (biorthogonality lost)")
+        if abs(delta) <= tiny:  # biorthogonality lost
+            return run.end(k - 1, x, BREAKDOWN)
         if p is None:
             p, q = v, w
         else:
@@ -259,7 +246,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         p_t = op(p)
         epsilon = float(q @ p_t)
         if abs(epsilon) <= tiny:
-            raise breakdown("QMR breakdown (epsilon vanished)")
+            return run.end(k - 1, x, BREAKDOWN)
         beta = epsilon / delta
         v_t = p_t - beta * v
         rho_next = float(np.linalg.norm(v_t))
@@ -268,7 +255,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         theta = rho_next / (gamma_prev * abs(beta))
         gamma = 1.0 / np.sqrt(1.0 + theta**2)
         if gamma == 0.0:
-            raise breakdown("QMR breakdown (gamma vanished)")
+            return run.end(k - 1, x, BREAKDOWN)
         eta = -eta_prev * rho * gamma**2 / (beta * gamma_prev**2)
         if d is None:
             d = eta * p
@@ -276,7 +263,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
             d = eta * p + (theta_prev * gamma) ** 2 * d
         x = x + d
         run.residual(x, k)
-        if run.converged:
+        if run.done:
             break
         rho = rho_next
         gamma_prev, eta_prev, theta_prev = gamma, eta, theta
@@ -288,12 +275,8 @@ _SOLVERS = {"gcp": gcp_iterate, "stationary": gcp_iterate,
 
 
 def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str = "") -> IterationReport:
-    """Run one solver by name, mapping failures into a flagged report."""
-    fn = _SOLVERS[solver]
-    try:
-        return fn(system, pc, cfg, case_label)
-    except (DivergenceError, BreakdownError) as exc:
-        return exc.report
+    """Run one solver by name."""
+    return _SOLVERS[solver](system, pc, cfg, case_label)
 
 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,

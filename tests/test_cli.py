@@ -172,7 +172,16 @@ def test_table_grid_guard(capsys):
     ("sweep", "--case", "I", "-l", "4", "--nu", "-1", "--omega-grid", "1:1:1"),
     ("analyze", "--case", "I", "-l", "2", "--omega", "1.0"),
     ("analyze", "--case", "I", "-l", "4", "--nu", "-1", "--omega", "1.0"),
-], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu"])
+    ("solve", "--case", "I", "-l", "4", "--omega", "nan"),
+    ("solve", "--case", "I", "-l", "4", "--omega", "inf"),
+    ("solve", "--case", "I", "-l", "4", "--nu", "nan", "--omega", "1.0"),
+    ("solve", "--case", "I", "-l", "4", "--nu", "inf", "--omega", "1.0"),
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "nan:1:0.1"),
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:inf:0.1"),
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:inf"),
+], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu",
+        "solve-omega-nan", "solve-omega-inf", "solve-nu-nan", "solve-nu-inf",
+        "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step"])
 def test_bad_input_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -194,7 +203,10 @@ def test_internal_value_error_not_a_usage_error(capsys, monkeypatch):
     ("solve", "--case", "I", "-l", "4", "--omega", "1", "--max-iters", "0"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "1:1:1", "--restart", "0"),
     ("table", "2", "-l", "16", "--tol", "-1"),
-], ids=["solve-tol", "solve-max-iters", "sweep-restart", "table-tol"])
+    ("solve", "--case", "I", "-l", "4", "--omega", "1", "--tol", "nan"),
+    ("solve", "--case", "I", "-l", "4", "--omega", "1", "--tol", "inf"),
+], ids=["solve-tol", "solve-max-iters", "sweep-restart", "table-tol", "solve-tol-nan",
+        "solve-tol-inf"])
 def test_bad_solve_config_usage_error(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before validating the solve configuration")
