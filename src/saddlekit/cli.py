@@ -4,8 +4,8 @@ Cases map onto preconditioner families exactly as in the benchmark setup:
 I/II constraint, III/IV block-diagonal, V/VI block-triangular; odd cases
 use the symmetric scaled P = omega*H, even cases the triangular split.
 
-Exit codes: 0 converged, 2 iteration limit, 3 divergence or breakdown,
-64 usage error.
+Exit codes: 0 converged, 2 iteration limit, 3 any other end of a solve
+(diverged, breakdown, stagnated), 64 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -89,8 +91,11 @@ PUBLISHED_OMEGA = {
         ("VI", 0.001, 16): 0.02, ("VI", 0.001, 32): 0.04,
     },
 }
-TABLE_SOLVER = {2: "auto", 3: "gmres", 4: "qmr"}
+# None: the case's own scheme (resolve_solver)
+TABLE_SOLVER = {2: None, 3: "gmres", 4: "qmr"}
 DASH_GRID = np.geomspace(1e-3, 2000.0, 10)
+#: Largest omega grid ``parse_omega_grid`` accepts; each point is one build and one solve.
+MAX_OMEGA_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,18 +116,23 @@ def parse_omega_grid(text: str) -> list[float]:
         raise UsageError(f"bad omega grid {text!r}: expected a:b:step") from exc
     if not np.isfinite([a, b, step]).all() or step <= 0 or b < a:
         raise UsageError(f"bad omega grid {text!r}: need finite a <= b and step > 0")
+    # np.arange's own length, before its ceiling; an overflow reads inf
+    count = (b + 0.5 * step - a) / step
+    if count > MAX_OMEGA_POINTS:
+        size = f"{math.ceil(count)} points" if math.isfinite(count) else "too many points"
+        raise UsageError(f"bad omega grid {text!r}: {size}, more than {MAX_OMEGA_POINTS}")
     return [float(w) for w in np.arange(a, b + 0.5 * step, step)]
 
 
-def default_solver(case: str) -> str:
-    return "stationary" if CASE_MAP[case][0] == BLOCK_TRI else "gcp"
-
-
 def resolve_solver(case: str, solver: str | None) -> str:
-    """Check the case/solver pairing; 'gcp' needs a singular family."""
+    """Check the case/solver pairing; 'gcp' needs a singular family.
+
+    None picks the case's own scheme: 'stationary' for the block-triangular
+    family, 'gcp' for the singular ones.
+    """
     family = CASE_MAP[case][0]
     if solver is None:
-        return default_solver(case)
+        return "stationary" if family == BLOCK_TRI else "gcp"
     if solver == "gcp" and family == BLOCK_TRI:
         raise UsageError(
             f"case {case} uses the nonsingular block-triangular preconditioner; "
@@ -223,6 +233,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(command: str, out: str | None):
+    """Refuse an --out that cannot be written, before any work is done.
+
+    gen writes a directory, so every existing part of its path must be one;
+    the other commands write one file into an existing directory.
+    """
+    if out is None:
+        return
+    path = Path(out)
+    if command == "gen":
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(f"--out {out}: {existing} exists and is not a directory")
+    elif path.is_dir():
+        raise UsageError(f"--out {out}: is a directory")
+    elif not path.parent.is_dir():
+        raise UsageError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -304,10 +333,7 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze is limited to l <= 16 (dense spectral cost)")
     family, kind = CASE_MAP[args.case]
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
-    try:
-        pc = build_case(system, args.case, args.omega, enforce_pd=True)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pc = _checked(build_case, system, args.case, args.omega, enforce_pd=True)
     bounds = {
         "omega_bound_symmetric": _premised(system, omega_bound_symmetric, system.W),
         "omega_bound_triangular": _premised(system, omega_bound_triangular, system.W),
@@ -325,34 +351,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _table_cell(system, case, solver, omega, cfg):
-    """Best converged report among {0.9, 1.0, 1.1} x published omega."""
-    return best_report(sweep_case(system, case, [0.9 * omega, omega, 1.1 * omega],
-                                  solver, cfg))
-
-
-def _table_dash_confirmed(system, case, solver, cfg):
-    """True when no grid omega converges (the table's '-' mark)."""
-    return not any(r.converged for r in sweep_case(system, case, DASH_GRID, solver, cfg))
-
-
 def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[dict]:
-    """Long-form rows (nu, case, omega, iterations, status) for one table."""
+    """Long-form rows (nu, case, omega, iterations, status) for one table.
+
+    A published omega is tried at {0.9, 1.0, 1.1} x omega and the best
+    converged run kept; a published dash is confirmed when no omega of
+    DASH_GRID converges.
+    """
     rows = []
     for nu in (0.1, 0.001):
         system = build_oseen(l, nu, seed=seed)
         for case in CASES:
-            solver = TABLE_SOLVER[table_id]
-            if solver == "auto":
-                solver = default_solver(case)
+            solver = resolve_solver(case, TABLE_SOLVER[table_id])
             omega = PUBLISHED_OMEGA[table_id].get((case, nu, l))
             if omega is None:
-                confirmed = _table_dash_confirmed(system, case, solver, cfg)
+                reports = sweep_case(system, case, DASH_GRID, solver, cfg)
+                confirmed = not any(r.converged for r in reports)
                 rows.append({"nu": nu, "case": case, "omega": "-",
                              "iterations": "-",
                              "status": "nonconvergent" if confirmed else "CONVERGED?"})
                 continue
-            best = _table_cell(system, case, solver, omega, cfg)
+            best = best_report(sweep_case(system, case, [0.9 * omega, omega, 1.1 * omega],
+                                          solver, cfg))
             if best is None:
                 rows.append({"nu": nu, "case": case, "omega": f"{omega:g}",
                              "iterations": "-", "status": "nonconvergent"})
@@ -385,6 +405,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.command, args.out)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"saddlekit: error: {exc}", file=sys.stderr)

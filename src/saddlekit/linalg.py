@@ -68,9 +68,9 @@ def svd(A: Array) -> SvdFactors:
     return SvdFactors(U=U, singular_values=s, V=Vt.T)
 
 
-def null_basis(f: SvdFactors, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+def null_basis(f: SvdFactors) -> Array:
     """Orthonormal basis of the null space from a full SVD."""
-    return f.V[:, rank_of(f.singular_values, rank_tol):]
+    return f.V[:, rank_of(f.singular_values):]
 
 
 def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
@@ -115,15 +115,15 @@ def eigenvalues(A: Array) -> Array:
         raise LinAlgFailure(f"eigenvalue iteration failed for {A.shape[0]}x{A.shape[1]} matrix") from exc
 
 
-def pseudospectral_radius(A: Array, one_tol: float = DEFAULT_ONE_TOL) -> float:
-    """max |lambda| over eigenvalues of A with |lambda - 1| > one_tol.
+def pseudospectral_radius(A: Array) -> float:
+    """max |lambda| over eigenvalues of A with |lambda - 1| > DEFAULT_ONE_TOL.
 
     Singular fixed-point iterations legitimately carry eigenvalue 1 from the
     null space of the system matrix; this is the convergence-governing radius
     that ignores it.  Returns 0 when every eigenvalue sits in the band.
     """
     lam = eigenvalues(A)
-    outside = lam[np.abs(lam - 1.0) > one_tol]
+    outside = lam[np.abs(lam - 1.0) > DEFAULT_ONE_TOL]
     if outside.size == 0:
         return 0.0
     return float(np.abs(outside).max())
@@ -134,9 +134,9 @@ def spectral_norm(A: Array) -> float:
     return float(_lapack_svd(A, compute_uv=False)[0]) if min(A.shape) else 0.0
 
 
-def numerical_rank(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rank_tol * s_max``; no singular vectors are formed."""
-    return rank_of(_lapack_svd(A, compute_uv=False), rank_tol)
+def numerical_rank(A: Array) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOL * s_max``, from no singular vectors."""
+    return rank_of(_lapack_svd(A, compute_uv=False))
 
 
 def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:

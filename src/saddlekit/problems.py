@@ -11,6 +11,10 @@ With an l x l grid this yields n = 2*l*(l-1) velocity unknowns and
 m = l**2 pressures; the divergence block B has the constant-pressure
 vector in its null space, so rank(B) = l**2 - 1 and the full saddle-point
 matrix is singular.
+
+The only right-hand side formed is the manufactured b = A x*, which lies in
+range(A) by construction.  W and B do not depend on the lid data: it would
+enter only the load vector, which the package does not form.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sps
 
-from .linalg import DEFAULT_RANK_TOL, Array, dense, null_basis, svd
-
-DEFAULT_RANGE_TOL = 1e-10
+from .linalg import Array, dense, null_basis, svd
 
 #: Rows per dense block of the manufactured right-hand side A @ x*.
 RHS_BLOCK_ROWS = 64
@@ -73,7 +75,6 @@ class SaddleSystem:
     g: Array
     l: int | None = None
     nu: float | None = None
-    raw_rhs: Array | None = field(default=None, repr=False)
     null_BT: Array | None = field(default=None, repr=False)
     _dense_B_ref: weakref.ref | None = field(default=None, init=False, repr=False,
                                              compare=False)
@@ -126,17 +127,17 @@ class SaddleSystem:
 
     def with_rhs(self, b: Array) -> "SaddleSystem":
         return SaddleSystem(W=self.W, B=self.B, f=b[: self.n], g=b[self.n :],
-                            l=self.l, nu=self.nu, raw_rhs=self.raw_rhs, null_BT=self.null_BT)
+                            l=self.l, nu=self.nu, null_BT=self.null_BT)
 
 
-def null_basis_BT(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+def null_basis_BT(system: SaddleSystem) -> Array:
     """Orthonormal basis (m x d) of null(B^T): the recorded one, else one SVD of B^T."""
     if system.null_BT is not None:
         return system.null_BT
-    return null_basis(svd(system.B.T), rank_tol)
+    return null_basis(svd(system.B.T))
 
 
-def saddle_null_basis(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+def saddle_null_basis(system: SaddleSystem) -> Array:
     """Orthonormal basis of {0} x null(B^T), with null(B^T) from :func:`null_basis_BT`.
 
     (0, y) with B^T y = 0 lies in the null space of A and of A^T.  When
@@ -144,7 +145,7 @@ def saddle_null_basis(system: SaddleSystem, rank_tol: float = DEFAULT_RANK_TOL) 
     gives u^T W u = -(B u)^T p = 0, so u = 0 and B^T p = 0, and likewise
     for A^T.  Without that premise the basis spans a subspace of both.
     """
-    N = null_basis_BT(system, rank_tol)
+    N = null_basis_BT(system)
     return np.vstack([np.zeros((system.n, N.shape[1])), N])
 
 
@@ -160,13 +161,14 @@ def _velocity_ids(l: int, axis: int) -> Array:
 
 
 def _momentum(l: int, nu: float, axis: int):
-    """Momentum block (CSR) and load of one velocity component (axis 0: u, 1: v).
+    """Momentum block (CSR) of one velocity component (axis 0: u, 1: v).
 
     A 5-point viscous stencil plus the averaged-coefficient centred
     convective stencil.  A neighbour beyond a wall normal to the component's
     axis is a wall node: its value is 0 and the entry is dropped.  One beyond
-    a wall parallel to it is the ghost reflection 2g - u, with lid data g = 1
-    for u on y = 1 and g = 0 elsewhere.  The diagonal accumulates in a fixed
+    a wall parallel to it is the ghost reflection 2g - u; its -u folds into
+    the diagonal, and its 2g (the lid data) would enter only a load, which
+    this package does not form.  The diagonal accumulates in a fixed
     order (viscous W, E, S, N, then convective E, W, N, S); each neighbour
     entry is the viscous -nu/h^2 plus its convective coefficient.
     """
@@ -187,16 +189,12 @@ def _momentum(l: int, nu: float, axis: int):
             "N": (b0 + wind_y(x, y + h)) / (4.0 * h),
             "S": -((b0 + wind_y(x, y - h)) / (4.0 * h))}
     diag = np.full(k.size, 4.0 * visc)
-    f = np.zeros(k.size)
 
     def fold(d, coef):
-        # a ghost 2g - u folds into the diagonal and the load
+        # the -u of a ghost 2g - u folds into the diagonal
         nb, normal_wall = nbrs[d]
         if not normal_wall:
-            ghost, c = k[nb < 0], coef[nb < 0]
-            diag[ghost] -= c
-            if axis == 0 and d == "N":  # lid data g = 1
-                f[ghost] -= 2.0 * c
+            diag[k[nb < 0]] -= coef[nb < 0]
 
     for d in "WESN":
         fold(d, np.full(x.shape, -visc))
@@ -208,13 +206,12 @@ def _momentum(l: int, nu: float, axis: int):
         rows.append(k[inside])
         cols.append(nb[inside])
         vals.append(-visc + conv[d][inside])
-    F = sps.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(k.size, k.size))
-    return F, f
+    return sps.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(k.size, k.size))
 
 
 def _assemble_oseen(l: int, nu: float):
-    """W and B as CSR, with the raw load (f, g)."""
+    """W and B as CSR."""
     h = 1.0 / l
     n_u = l * (l - 1)
     # discrete divergence scaled so that B^T is the pressure gradient: a face
@@ -229,58 +226,37 @@ def _assemble_oseen(l: int, nu: float):
                         np.concatenate([c.ravel() for c in cols]))),
                       shape=(l * l, 2 * n_u))
 
-    F1, f1 = _momentum(l, nu, 0)
-    F2, f2 = _momentum(l, nu, 1)
-    W = sps.block_diag((F1, F2), format="csr")
+    W = sps.block_diag((_momentum(l, nu, 0), _momentum(l, nu, 1)), format="csr")
     W.eliminate_zeros()  # as a dense block converted to CSR would store it
-    return W, B, np.concatenate([f1, f2]), np.zeros(l * l)
+    return W, B
 
 
-def build_oseen(l: int, nu: float, rhs_mode: str = "manufactured", seed: int = 0) -> SaddleSystem:
+def build_oseen(l: int, nu: float, seed: int = 0) -> SaddleSystem:
     """Leaky-lid cavity Oseen system on an l x l MAC grid.
 
-    The raw load vector (boundary folding of the lid data, zero body force)
-    is kept on the system for the ``projected`` right-hand-side mode; the
-    stored (f, g) come from :func:`make_consistent_rhs`.  null(B^T) is
-    recorded as the constant pressure e / sqrt(m).
+    (f, g) is the manufactured b of :func:`make_consistent_rhs`.  null(B^T)
+    is recorded as the constant pressure e / sqrt(m).
     """
     if l < 4:
         raise ValueError("grid too coarse: need l >= 4")
     if not 0 < nu < np.inf:
         raise ValueError("viscosity nu must be positive and finite")
-    W, B, f_raw, g_raw = _assemble_oseen(l, nu)
+    W, B = _assemble_oseen(l, nu)
     # every column of B holds +1/h and -1/h, so B^T e = 0 exactly
     m = l * l
-    system = SaddleSystem(W=W, B=B, f=f_raw, g=g_raw, l=l, nu=nu,
-                          raw_rhs=np.concatenate([f_raw, g_raw]),
+    system = SaddleSystem(W=W, B=B, f=np.zeros(W.shape[0]), g=np.zeros(m), l=l, nu=nu,
                           null_BT=np.full((m, 1), 1.0 / np.sqrt(m)))
-    b = make_consistent_rhs(system, mode=rhs_mode, seed=seed)
-    return system.with_rhs(b)
+    return system.with_rhs(make_consistent_rhs(system, seed=seed))
 
 
-def make_consistent_rhs(system: SaddleSystem, mode: str = "manufactured",
-                        seed: int = 0) -> Array:
-    """Right-hand side guaranteed (or projected) to lie in range(A).
-
-    ``manufactured``: b = A x* for a seeded pseudo-random x*.
-    ``projected``: orthogonal projection of the raw assembled load onto
-    range(A), removing its component along the left null space
-    {0} x null(B^T) (all of it when sym(W) is positive definite).
-    """
-    if mode == "manufactured":
-        x_star = np.random.default_rng(seed).standard_normal(system.n + system.m)
-        A = system.matrix()
-        # dense products of 64-row blocks: the bits of one dense A @ x_star
-        # (blocks of 1 or 3 rows are not), without the dense (n+m)^2 A
-        return np.concatenate([A[i:i + RHS_BLOCK_ROWS].toarray() @ x_star
-                               for i in range(0, A.shape[0], RHS_BLOCK_ROWS)])
-    if mode == "projected":
-        if system.raw_rhs is None:
-            raise ValueError("system carries no raw load vector to project")
-        null_left = saddle_null_basis(system, DEFAULT_RANGE_TOL)
-        b = system.raw_rhs
-        return b - null_left @ (null_left.T @ b)
-    raise ValueError(f"unknown rhs mode {mode!r}")
+def make_consistent_rhs(system: SaddleSystem, seed: int = 0) -> Array:
+    """The manufactured b = A x* for a seeded pseudo-random x*, hence in range(A)."""
+    x_star = np.random.default_rng(seed).standard_normal(system.n + system.m)
+    A = system.matrix()
+    # dense products of 64-row blocks: the bits of one dense A @ x_star
+    # (blocks of 1 or 3 rows are not), without the dense (n+m)^2 A
+    return np.concatenate([A[i:i + RHS_BLOCK_ROWS].toarray() @ x_star
+                           for i in range(0, A.shape[0], RHS_BLOCK_ROWS)])
 
 
 def build_random_singular(n: int, m: int, rank_b: int, seed: int) -> SaddleSystem:
@@ -300,8 +276,7 @@ def build_random_singular(n: int, m: int, rank_b: int, seed: int) -> SaddleSyste
     W = H + S
     B = rng.standard_normal((m, rank_b)) @ rng.standard_normal((rank_b, n))
     system = SaddleSystem(W=W, B=B, f=np.zeros(n), g=np.zeros(m))
-    b = make_consistent_rhs(system, mode="manufactured", seed=seed + 1)
-    return system.with_rhs(b)
+    return system.with_rhs(make_consistent_rhs(system, seed=seed + 1))
 
 
 def export(system: SaddleSystem, out_dir) -> dict:

@@ -9,6 +9,7 @@ from saddlekit.cli import (
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_OMEGA_POINTS,
     main,
     parse_omega_grid,
     resolve_solver,
@@ -16,7 +17,7 @@ from saddlekit.cli import (
 from saddlekit import cli
 from saddlekit.cli import UsageError
 from saddlekit.linalg import NotPositiveDefinite
-from saddlekit.solvers import SolveConfig
+from saddlekit.solvers import STAGNATED, IterationReport, SolveConfig
 
 
 def run(capsys, *argv):
@@ -29,11 +30,15 @@ class TestParsing:
     def test_omega_grid(self):
         assert parse_omega_grid("0.5:1.5:0.5") == [0.5, 1.0, 1.5]
         assert parse_omega_grid("1:1:1") == [1.0]
+        assert parse_omega_grid("0:9999:1") == [float(k) for k in range(MAX_OMEGA_POINTS)]
 
     def test_omega_grid_errors(self):
-        for bad in ("1:2", "2:1:0.5", "1:2:-1", "a:b:c"):
+        # the last grid's (b - a) / step overflows to inf
+        for bad in ("1:2", "2:1:0.5", "1:2:-1", "a:b:c", "-1e308:1e308:1e-300"):
             with pytest.raises(UsageError):
                 parse_omega_grid(bad)
+        with pytest.raises(UsageError, match="1000001 points, more than 10000"):
+            parse_omega_grid("0.1:0.2:1e-7")
 
     def test_case_map_families(self):
         assert CASE_MAP["I"] == ("constraint", "symmetric_scaled")
@@ -179,13 +184,49 @@ def test_table_grid_guard(capsys):
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "nan:1:0.1"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:inf:0.1"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:inf"),
+    ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:1e-7"),
 ], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu",
         "solve-omega-nan", "solve-omega-inf", "solve-nu-nan", "solve-nu-inf",
-        "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step"])
+        "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step", "sweep-grid-too-large"])
 def test_bad_input_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("saddlekit: error:")
+
+
+@pytest.mark.parametrize("command, argv, target", [
+    ("solve", ("--case", "I", "-l", "4", "--omega", "1"), "missing/x.csv"),
+    ("sweep", ("--case", "I", "-l", "4", "--omega-grid", "1:1:1"), "missing/x.csv"),
+    ("analyze", ("--case", "I", "-l", "4", "--omega", "1"), "missing/x.json"),
+    ("table", ("2", "-l", "16"), "missing/x.csv"),
+    ("gen", ("-l", "4"), "file"),
+    ("solve", ("--case", "I", "-l", "4", "--omega", "1"), "."),
+], ids=["solve", "sweep", "analyze", "table", "gen", "solve-dir"])
+def test_unwritable_out_usage_error(capsys, monkeypatch, tmp_path, command, argv, target):
+    # a missing directory or a directory given as the file (gen: an existing
+    # file) is refused before any system is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before checking --out")
+
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / target)
+    monkeypatch.setattr(cli, "build_oseen", no_work)
+    code, stdout, err = run(capsys, command, *argv, "--out", out)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert out in err
+
+
+def test_stagnated_exit_three(capsys, monkeypatch):
+    # every end other than converged and max_iters exits 3, stagnated included
+    def stagnated(solver, system, pc, cfg, case_label=""):
+        return IterationReport(iterations=9, residual_history=[1.0, 0.5], omega=1.0,
+                               case_label=case_label, status=STAGNATED)
+
+    monkeypatch.setattr(cli, "solve_with", stagnated)
+    code, out, _ = run(capsys, "solve", "--case", "I", "-l", "4", "--omega", "1")
+    assert code == EXIT_DIVERGED
+    assert "stagnated" in out
 
 
 def test_internal_value_error_not_a_usage_error(capsys, monkeypatch):

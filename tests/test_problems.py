@@ -79,12 +79,6 @@ class TestOseen:
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
-    def test_projected_rhs_consistent(self):
-        s = build_oseen(8, 0.1, rhs_mode="projected")
-        A, b = s.matrix().toarray(), s.rhs()
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
-
     def test_manufactured_seed_determinism(self):
         a = build_oseen(4, 0.1, seed=7).rhs()
         b = build_oseen(4, 0.1, seed=7).rhs()
@@ -105,21 +99,21 @@ class TestOseen:
         assert np.all(s.W.toarray()[n_u:, :n_u] == 0.0)
 
     @pytest.mark.parametrize("l, nu, digest", [
-        (4, 0.1, "3b0b3ae0023825faeb13c8a74b7a8c46acc023426330de2a64dd36ccee2b2254"),
-        (4, 0.001, "c2cfc347abe03cf71982b63d8f0f15ab402720a306ac2b97ad81311f259262f3"),
-        (8, 0.1, "c090f8316a2ac3b52b53b70c9f53247c4c5b548c0002db27747b2003d7482382"),
-        (8, 0.001, "02ccc70f33aa265f777165a8b76e498cdc4ee9ba3f4f1836393f5669f07fb542"),
-        (16, 0.1, "717f9c7e8f1f6a87b2f020498dc4c078d8fae5d83b256950b209bf592b2c6b9b"),
-        (16, 0.001, "3af22623c3f2f268887e1285f03e76e803e9d9e10c3e59bca61b2f60a19f9e99"),
+        (4, 0.1, "3ad7ce4ac0846b4afc31bb13208823fc6d02dd7cc7533b74d8adfbeb7a4aaa1a"),
+        (4, 0.001, "dbd7d387f092d3db44459705a4567fe58f200bce8b16197b69ecd8697322dc04"),
+        (8, 0.1, "9b5d65e3c86135e137fec8f5c691bd2d49391764c44f6a1cb0ad1abda97e93cb"),
+        (8, 0.001, "38ec734a84d5245104c46a3faf463ffe408a8c46bb852c281cfb218609d30486"),
+        (16, 0.1, "ba5880c31b3ab9371ae1f9d69b987b273e962a07a0fad99cc167df87af075355"),
+        (16, 0.001, "de5ec51b2b6b014f88e6413e72a1ab7729151d41da6a948556301672521fdafd"),
         # h = 1/7 is inexact, so this grid also pins the accumulation order
-        (7, 0.1, "c62a39bbaf66406c1e130fca7fcd88ea803586ce69bed762fc429cbb511415a3"),
-        (7, 0.001, "017341d9ace63007a9d416caec1982b498b632a609ed2b10dcaaa727c8ec3510"),
+        (7, 0.1, "f960d7268682bd0c27de08885ebe7a476c6e3ad6ad5c9b26cd2edb2a8efa5c33"),
+        (7, 0.001, "e35b089dfbbdfa1a80668640aeb68c6782bcccc42956b33a9f56c435c61555ff"),
     ])
     def test_discretization_fingerprint(self, l, nu, digest):
-        # pins the stencil to the bit: sha256 of W, B, raw_rhs as float64 C-order
+        # pins the stencil to the bit: sha256 of W, B, rhs() as float64 C-order
         s = build_oseen(l, nu)
         h = hashlib.sha256()
-        for a in (s.W.toarray(), s.B.toarray(), s.raw_rhs):
+        for a in (s.W.toarray(), s.B.toarray(), s.rhs()):
             h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
         assert h.hexdigest() == digest
 
@@ -141,13 +135,9 @@ class TestRandomSingular:
 
 def test_make_consistent_rhs_modes():
     s = build_random_singular(n=6, m=3, rank_b=2, seed=1)
-    b1 = make_consistent_rhs(s, mode="manufactured", seed=5)
+    b1 = make_consistent_rhs(s, seed=5)
     x_star = np.random.default_rng(5).standard_normal(s.n + s.m)
     assert np.array_equal(b1, s.matrix().toarray() @ x_star)
-    with pytest.raises(ValueError):
-        make_consistent_rhs(s, mode="bogus")
-    with pytest.raises(ValueError):
-        make_consistent_rhs(s, mode="projected")  # no raw load stored
 
 
 def test_export_roundtrip(tmp_path):
@@ -160,10 +150,59 @@ def test_export_roundtrip(tmp_path):
     assert np.array_equal(sio.mmread(tmp_path / "f.mtx").toarray().ravel(), s.f)
 
 
-def _svd_null_spaces(A, rank_tol=1e-12):
+# the Matrix Market files written by export, read back with scipy.io
+
+def _system(W, B, f=None, g=None):
+    n, m = W.shape[0], B.shape[0]
+    return SaddleSystem(W=W, B=B, f=np.zeros(n) if f is None else f,
+                        g=np.zeros(m) if g is None else g)
+
+
+def _read(path):
+    return sio.mmread(path).toarray()
+
+
+def test_roundtrip_dense(tmp_path):
+    A = np.array([[1.5, 0.0], [0.0, -2.25], [3.0, 0.125]])
+    export(_system(np.eye(2), A), tmp_path)
+    assert np.array_equal(_read(tmp_path / "B.mtx"), A)
+
+
+def test_header_line(tmp_path):
+    export(_system(np.eye(2), np.ones((1, 2))), tmp_path)
+    for name in ("W", "B", "f", "g"):
+        first = (tmp_path / f"{name}.mtx").read_text().splitlines()[0]
+        assert first == "%%MatrixMarket matrix coordinate real general"
+
+
+def test_vector_roundtrip(tmp_path):
+    v = np.array([0.0, 1.0, -2.5])
+    export(_system(np.eye(3), np.ones((1, 3)), f=v), tmp_path)
+    assert np.array_equal(_read(tmp_path / "f.mtx").ravel(), v)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.floats(0.0, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_exact_bits(tmp_path_factory, seed, r, c, density):
+    g = np.random.default_rng(seed)
+    W, B = g.standard_normal((c, c)), g.standard_normal((r, c))
+    f, gv = g.standard_normal(c), g.standard_normal(r)
+    for M in (W, B, f, gv):
+        M[g.random(M.shape) > density] = 0.0
+    out = tmp_path_factory.mktemp("mm")
+    export(_system(W, B, f, gv), out)
+    # repr-based serialization must be bit-exact
+    assert np.array_equal(_read(out / "W.mtx"), W)
+    assert np.array_equal(_read(out / "B.mtx"), B)
+    assert np.array_equal(_read(out / "f.mtx").ravel(), f)
+    assert np.array_equal(_read(out / "g.mtx").ravel(), gv)
+
+
+def _svd_null_spaces(A):
     """Right and left null spaces of A from its full SVD (the oracle)."""
     U, s, Vt = np.linalg.svd(A)
-    mask = s <= rank_tol * s[0]
+    mask = s <= 1e-12 * s[0]
     return Vt.T[:, mask], U[:, mask]
 
 
@@ -186,20 +225,13 @@ def test_saddle_null_basis_matches_svd_of_a(system):
         assert sla.subspace_angles(N, oracle).max() <= 1e-10
 
 
-def test_projected_rhs_matches_svd_projection():
-    s = build_oseen(8, 0.1, rhs_mode="projected")
-    _, null_left = _svd_null_spaces(s.matrix().toarray(), 1e-10)
-    b = s.raw_rhs
-    assert np.allclose(s.rhs(), b - null_left @ (null_left.T @ b), rtol=0, atol=1e-12 * np.abs(b).max())
-
-
 def test_assembly_forms_no_dense_block():
     l = 32
     n_u = l * (l - 1)
     for nu in (0.1, 0.001):
         tracemalloc.start()
         try:
-            W, B, _, _ = _assemble_oseen(l, nu)
+            W, B = _assemble_oseen(l, nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
