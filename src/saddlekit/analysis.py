@@ -20,7 +20,6 @@ import scipy.linalg as sla
 from .linalg import (
     Array,
     NotPositiveDefinite,
-    cholesky,
     dense,
     null_basis,
     numerical_rank,
@@ -32,7 +31,7 @@ from .linalg import (
     sym_sqrt,
 )
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
-                      Preconditioner, apply_pseudo_inverse)
+                      Preconditioner, apply_pseudo_inverse, check_h_spd)
 from .precond import pd_bound  # noqa: F401  (re-exported beside the omega bounds)
 from .problems import (SaddleSystem, lower_skew_part, saddle_null_basis, skew_part,
                        symmetric_part)
@@ -162,8 +161,8 @@ def omega_bound_triangular(W: Array) -> float:
     eigenvalue of H and c = ||L_s||_2; the analytic limit 2/lmax when the
     skew part vanishes.
     """
+    check_h_spd(W)
     H = symmetric_part(W).toarray()
-    cholesky(H)  # SPD gate
     lmax = float(np.linalg.eigvalsh(H).max())  # = ||H||_2, as H is SPD
     c = spectral_norm(lower_skew_part(W))
     if c < 1e-12 * max(lmax, 1.0):

@@ -114,8 +114,8 @@ def parse_omega_grid(text: str) -> list[float]:
         a, b, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad omega grid {text!r}: expected a:b:step") from exc
-    if not np.isfinite([a, b, step]).all() or step <= 0 or b < a:
-        raise UsageError(f"bad omega grid {text!r}: need finite a <= b and step > 0")
+    if not np.isfinite([a, b, step]).all() or a <= 0 or step <= 0 or b < a:
+        raise UsageError(f"bad omega grid {text!r}: need finite 0 < a <= b and step > 0")
     # np.arange's own length, before its ceiling; an overflow reads inf
     count = (b + 0.5 * step - a) / step
     if count > MAX_OMEGA_POINTS:
@@ -177,8 +177,8 @@ def build_case(system, case: str, omega: float, enforce_pd: bool = False):
 def sweep_case(system, case: str, grid, solver: str, cfg: SolveConfig):
     """One report per grid omega for a case, built without the PD gate."""
     family, kind = CASE_MAP[case]
-    return omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg,
-                       case_label=case, enforce_pd=False)
+    return _premised(system, omega_sweep, system, family, kind, grid, solver=solver, cfg=cfg,
+                     case_label=case, enforce_pd=False)
 
 
 # every flag that more than one command takes, declared once:
@@ -337,7 +337,7 @@ def cmd_analyze(args) -> int:
     bounds = {
         "omega_bound_symmetric": _premised(system, omega_bound_symmetric, system.W),
         "omega_bound_triangular": _premised(system, omega_bound_triangular, system.W),
-        "pd_bound": _premised(system, pd_bound, system.W),
+        "pd_bound": pd_bound(system.W),
     }
     if family == BLOCK_TRI:
         payload = {"case": args.case, "omega": args.omega, "note":

@@ -27,7 +27,7 @@ import scipy.sparse as sps
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
 from scipy.sparse.linalg import splu
 
-from .linalg import Array, LinAlgFailure, cholesky, spectral_norm
+from .linalg import Array, LinAlgFailure, NotPositiveDefinite, cholesky, spectral_norm
 from .problems import (SaddleSystem, lower_skew_part, null_basis_BT, skew_part,
                        symmetric_part)
 
@@ -72,8 +72,8 @@ class Preconditioner:
       dense B;
     * block-diagonal: the P-solves, E (its (2,2) block) and an LU of
       E + N N^T;
-    * block-triangular: the P-solves and the system's shared read-only
-      dense B (``dense_B``).
+    * block-triangular: the P-solves and its own dense copy of B
+      (``dense_B``), taken at build.
 
     ``B`` is the system's own CSR B, read by :func:`assemble`.  P is formed
     sparse on each read (``P`` densifies it) and never kept.
@@ -184,15 +184,25 @@ def _p_solves(W, p_choice: PChoice):
             lambda x: sla.lu_solve(lu, _finite(x), trans=1, check_finite=False))
 
 
-def _check_h_spd(system: SaddleSystem) -> None:
+def check_h_spd(W) -> None:
     """Raise NotPositiveDefinite unless H = sym(W) is SPD, as P = omega H needs.
 
-    The verdict does not depend on omega, so the one dense Cholesky runs
-    once per system.
+    One sparse LU of H in symmetric mode.  With a zero pivot threshold
+    SuperLU leaves the diagonal only at an exactly zero pivot, which the
+    symmetric elimination of an SPD matrix never meets.  So H is SPD iff the
+    factor exists, every pivot was diagonal (perm_r == perm_c, so U = D L^T)
+    and every pivot is positive.
     """
-    if not system._h_spd:
-        cholesky(symmetric_part(system.W))
-        object.__setattr__(system, "_h_spd", True)
+    H = symmetric_part(W).tocsc()
+    if not np.isfinite(H.data).all():
+        raise ValueError("matrix has non-finite entries")
+    try:
+        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise NotPositiveDefinite("matrix not positive definite") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+        raise NotPositiveDefinite("matrix not positive definite")
 
 
 def _pinned_rows(N: Array) -> Array:
@@ -236,11 +246,13 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     the block-triangular family is h^2/nu times I, from the system's grid
     metadata, or I for a system without it.
 
-    A factor that is exactly singular raises LinAlgFailure.
-    ``enforce_pd=False`` skips the positive-definiteness gate on the
-    triangular-split P, and with it the SVD for ||L_s||_2.  The convergence
-    theory assumes the gate, but the iteration itself is well defined (and
-    sometimes convergent) beyond it.
+    A factor that is exactly singular raises LinAlgFailure.  P = omega H
+    needs H SPD: the constraint family runs :func:`check_h_spd`, and the
+    block families' Cholesky of omega H doubles as the check; either raises
+    NotPositiveDefinite.  ``enforce_pd=False`` skips the positive-definiteness
+    gate on the triangular-split P, and with it the SVD for ||L_s||_2.  The
+    convergence theory assumes the gate, but the iteration itself is well
+    defined (and sometimes convergent) beyond it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown preconditioner family {family!r}")
@@ -253,14 +265,14 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     make_p = partial(_p_matrix, W, p_choice)
     if family == CONSTRAINT:
         if p_choice.kind == SYMMETRIC_SCALED:
-            _check_h_spd(system)
+            check_h_spd(W)
         N = null_basis_BT(system)
         pinned = _pinned_rows(N)
         M_lu = _pinned_lu(_constraint_matrix(make_p(), system.B), system.n + pinned)
         return Preconditioner(family, p_choice, make_p, system.B, N=N, M_lu=M_lu,
                               pinned=pinned)
     p_solves = _p_solves(W, p_choice)
-    B = system.dense_B()
+    B = system.B.toarray()
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu

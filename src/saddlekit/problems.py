@@ -20,7 +20,6 @@ enter only the load vector, which the package does not form.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,9 +63,10 @@ class SaddleSystem:
     """The block system [[W, B^T], [-B, 0]] (u; p) = (f; g).
 
     W and B are stored as ``scipy.sparse`` CSR arrays, whatever they are
-    given as; dense blocks are formed where dense arithmetic needs them.
-    ``null_BT``, when given, is an orthonormal basis (m x d) of null(B^T);
-    without it :func:`null_basis_BT` takes one from an SVD of B^T.
+    given as; the system caches nothing, and a caller that needs a dense
+    block forms its own.  ``null_BT``, when given, is an orthonormal basis
+    (m x d) of null(B^T); without it :func:`null_basis_BT` takes one from an
+    SVD of B^T.
     """
 
     W: sps.csr_array
@@ -76,10 +76,6 @@ class SaddleSystem:
     l: int | None = None
     nu: float | None = None
     null_BT: Array | None = field(default=None, repr=False)
-    _dense_B_ref: weakref.ref | None = field(default=None, init=False, repr=False,
-                                             compare=False)
-    # set once sym(W) has passed the SPD check (see precond), which does not depend on omega
-    _h_spd: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("W", "B"):
@@ -102,21 +98,6 @@ class SaddleSystem:
     @property
     def h(self) -> float | None:
         return None if self.l is None else 1.0 / self.l
-
-    def dense_B(self) -> Array:
-        """B as one read-only dense array, shared by every caller while one holds it.
-
-        The system keeps only a weak reference, so the array is freed with
-        its last holder: a strong cache would pin it, and an l=32 B (16 MB)
-        kept alive between builds fragments the heap.  Two threads racing
-        here can each form a copy; both are correct.
-        """
-        B = None if self._dense_B_ref is None else self._dense_B_ref()
-        if B is None:
-            B = self.B.toarray()
-            B.flags.writeable = False
-            object.__setattr__(self, "_dense_B_ref", weakref.ref(B))
-        return B
 
     def matrix(self) -> sps.csr_array:
         """The (n+m) x (n+m) coefficient matrix [[W, B^T], [-B, 0]] as CSR."""

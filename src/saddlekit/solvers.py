@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Array, LinAlgFailure
+from .linalg import Array, LinAlgFailure, NotPositiveDefinite
 from .precond import (
     PChoice,
     Preconditioner,
@@ -286,7 +286,9 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
     """One report per omega, in grid order; failures are flagged, not raised.
 
     An omega whose preconditioner cannot be built (``build`` raises
-    ValueError or LinAlgFailure) gets an ``infeasible`` report.
+    ValueError or LinAlgFailure) gets an ``infeasible`` report.  An
+    indefinite sym(W) fails P = omega H at every omega, so its
+    NotPositiveDefinite is raised.
     """
     omegas = list(omega_grid)
     if not omegas:
@@ -296,6 +298,8 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
         try:
             pc = build(system, family, PChoice(kind=p_kind, omega=omega),
                        enforce_pd=enforce_pd)
+        except NotPositiveDefinite:
+            raise
         except (ValueError, LinAlgFailure):
             return IterationReport(0, [], omega, case_label, INFEASIBLE)
         return solve_with(solver, system, pc, cfg, case_label)

@@ -13,6 +13,13 @@ import pytest
 from saddlekit import build_oseen, build_random_singular
 
 
+def pytest_configure(config):
+    # splu converts a CSR input to CSC and warns; every splu here must get CSC.
+    # Registered here, not in pyproject's filterwarnings: pytest imports a
+    # filter's category (scipy, hence numpy) before this file pins the threads.
+    config.addinivalue_line("filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
+
+
 @pytest.fixture(scope="session")
 def oseen_8():
     return build_oseen(8, 0.1)

@@ -30,11 +30,11 @@ class TestParsing:
     def test_omega_grid(self):
         assert parse_omega_grid("0.5:1.5:0.5") == [0.5, 1.0, 1.5]
         assert parse_omega_grid("1:1:1") == [1.0]
-        assert parse_omega_grid("0:9999:1") == [float(k) for k in range(MAX_OMEGA_POINTS)]
+        assert parse_omega_grid("1:10000:1") == [float(k) for k in range(1, MAX_OMEGA_POINTS + 1)]
 
     def test_omega_grid_errors(self):
         # the last grid's (b - a) / step overflows to inf
-        for bad in ("1:2", "2:1:0.5", "1:2:-1", "a:b:c", "-1e308:1e308:1e-300"):
+        for bad in ("1:2", "2:1:0.5", "1:2:-1", "a:b:c", "-1e308:1e308:1e-300", "0:0.02:0.01"):
             with pytest.raises(UsageError):
                 parse_omega_grid(bad)
         with pytest.raises(UsageError, match="1000001 points, more than 10000"):
@@ -185,9 +185,11 @@ def test_table_grid_guard(capsys):
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:inf:0.1"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:inf"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:1e-7"),
+    ("sweep", "--case", "II", "-l", "4", "--omega-grid", "0:0.02:0.01"),
 ], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu",
         "solve-omega-nan", "solve-omega-inf", "solve-nu-nan", "solve-nu-inf",
-        "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step", "sweep-grid-too-large"])
+        "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step", "sweep-grid-too-large",
+        "sweep-grid-zero-a"])
 def test_bad_input_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -262,9 +264,12 @@ def test_bad_solve_config_usage_error(capsys, monkeypatch, argv):
     ("solve", "--case", "I", "-l", "4", "--nu", "0.001", "--omega", "1"),
     ("analyze", "--case", "I", "-l", "4", "--nu", "0.001", "--omega", "1"),
     ("solve", "--case", "III", "-l", "5", "--nu", "0.001", "--omega", "1"),
-    # case II builds without H's Cholesky factor; the omega bounds need it
+    # case II builds without the SPD check on H; the omega bounds run it
     ("analyze", "--case", "II", "-l", "4", "--nu", "0.001", "--omega", "0.01"),
-], ids=["solve-I-l4", "analyze-I-l4", "solve-III-l5", "analyze-II-bounds"])
+    ("sweep", "--case", "I", "-l", "4", "--nu", "0.001", "--omega-grid", "1:2:1"),
+    ("sweep", "--case", "III", "-l", "5", "--nu", "0.001", "--omega-grid", "1:2:1"),
+], ids=["solve-I-l4", "analyze-I-l4", "solve-III-l5", "analyze-II-bounds", "sweep-I-l4",
+        "sweep-III-l5"])
 def test_indefinite_sym_w_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE

@@ -1,9 +1,6 @@
 """The block pseudoinverse formulas against SVD oracles."""
 
-import gc
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from saddlekit import (
 )
 from saddlekit import LinAlgFailure, omega_sweep, precond
 from saddlekit.analysis import pd_bound
-from saddlekit.linalg import pinv
+from saddlekit.linalg import cholesky, pinv
 from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from saddlekit.solvers import INFEASIBLE
 from saddlekit.problems import skew_part, symmetric_part
@@ -208,7 +205,6 @@ def test_apply_rejects_wrong_length():
 def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
     # the direct LAPACK calls against the scipy.linalg calls they replace
     import scipy.linalg as sla
-    from saddlekit.linalg import cholesky
 
     s = oseen_8
     W = s.W.toarray()
@@ -301,7 +297,6 @@ def test_triangular_build_keeps_one_square_array():
 @pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
 def test_constraint_build_holds_no_square_array(kind, omega):
     s = build_oseen(16, 0.001)
-    _ = s.dense_B()  # a B some other holder formed must not be picked up
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -344,48 +339,15 @@ def _six_builds(s):
             for family in FAMILIES for kind in (SYMMETRIC_SCALED, TRIANGULAR_SPLIT)]
 
 
-def test_builds_share_one_read_only_dense_b():
+def test_block_tri_keeps_its_own_dense_b():
     # the block-triangular applies read a dense B; the other families keep none
     s = build_oseen(16, 0.001)
     pcs = _six_builds(s)
+    want = s.B.toarray().tobytes()
     kept = [pc.dense_B for pc in pcs if pc.family == BLOCK_TRI]
-    B = kept[0]
-    assert len(kept) == 2 and all(b is B for b in kept)
+    assert len(kept) == 2 and all(B.tobytes() == want for B in kept)
     assert all(pc.dense_B is None for pc in pcs if pc.family != BLOCK_TRI)
     assert all(pc.B is s.B for pc in pcs)  # the system's own CSR B, for assemble
-    assert not B.flags.writeable
-    with pytest.raises(ValueError):
-        B[0, 0] = 1.0
-    assert B.tobytes() == s.B.toarray().tobytes()
-
-
-def test_dense_b_freed_with_its_last_holder():
-    s = build_oseen(16, 0.1)
-    pcs = _six_builds(s)
-    ref = s._dense_B_ref
-    old = pcs[-1].dense_B.tobytes()
-    assert ref() is pcs[-1].dense_B
-    del pcs
-    gc.collect()
-    assert ref() is None  # the system alone does not keep B alive
-    B = s.dense_B()
-    assert B.tobytes() == old
-    assert s.dense_B() is B
-
-
-def test_dense_b_under_threads():
-    # a race may form more than one copy; every caller must still get a correct, read-only B
-    s = build_oseen(8, 0.1)
-    want = s.B.toarray().tobytes()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda _: s.dense_B(), range(64), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == 64
-    assert all(B.tobytes() == want and not B.flags.writeable for B in got)
 
 
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
@@ -430,7 +392,7 @@ def test_assemble_matches_inline_blocks(family, kind):
     assert assemble(pc).tobytes() == M.tobytes()
 
 
-def test_six_builds_allocate_one_dense_b():
+def test_six_builds_keep_two_dense_b():
     s = build_oseen(16, 0.001)
     size = 8 * s.m * s.n
     tracemalloc.start()
@@ -439,10 +401,11 @@ def test_six_builds_allocate_one_dense_b():
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    # an m x n buffer alive after the builds can only be B (P^{-1} B^T is freed)
+    # an m x n buffer alive after the builds can only be a block-triangular
+    # pc's B: the block-diagonal B and P^{-1} B^T are freed with their build
     alive = [t for t in snapshot.traces if t.size == size]
-    assert len(alive) == 1
-    assert pcs[-2].dense_B is pcs[-1].dense_B
+    assert len(alive) == 2
+    assert pcs[-2].dense_B is not pcs[-1].dense_B
 
 
 @pytest.mark.parametrize("system", [
@@ -486,17 +449,72 @@ def test_case_ii_at_l32_is_exact():
             / norms).max() <= 1e-8
 
 
-def test_h_spd_check_runs_once_per_system(monkeypatch):
+def test_constraint_build_takes_no_dense_cholesky(monkeypatch):
     s = build_oseen(8, 0.1)
     calls = []
     real = precond.cholesky
     monkeypatch.setattr(precond, "cholesky", lambda A: calls.append(A.shape) or real(A))
     for omega in (0.5, 1.0, 2.0):
         build(s, CONSTRAINT, PChoice(kind=SYMMETRIC_SCALED, omega=omega))
-    assert calls == [(s.n, s.n)]
+    assert calls == []  # the SPD check on H is a sparse LU
     # the block families factor omega H itself, on every build
     build(s, BLOCK_DIAG, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
-    assert len(calls) == 2
+    assert calls == [(s.n, s.n)]
+
+
+def _h_spd_verdicts(W) -> tuple[bool, bool]:
+    """Whether H = sym(W) passes check_h_spd, and whether it passes the dense
+    Cholesky (the oracle)."""
+    verdicts = []
+    for check, arg in ((precond.check_h_spd, W), (cholesky, symmetric_part(W).toarray())):
+        try:
+            check(arg)
+        except NotPositiveDefinite:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return tuple(verdicts)
+
+
+@pytest.mark.parametrize("l", [4, 5, 8, 16])
+@pytest.mark.parametrize("nu", [0.1, 0.003, 0.001])
+def test_h_spd_check_agrees_with_cholesky_on_oseen(l, nu):
+    got, want = _h_spd_verdicts(build_oseen(l, nu).W)
+    assert got == want
+
+
+def test_h_spd_check_agrees_with_cholesky_on_shifted_matrices():
+    # W = G + shift I with shift a margin above or below -lambda_min(sym G)
+    g = np.random.default_rng(21)
+    verdicts = []
+    for _ in range(50):
+        n = int(g.integers(2, 31))
+        G = g.standard_normal((n, n)) * (g.random((n, n)) < 0.3)
+        lmin = np.linalg.eigvalsh(0.5 * (G + G.T)).min()
+        margin = g.choice([-1.0, 1.0]) * g.uniform(0.01, 1.0)
+        got, want = _h_spd_verdicts(sps.csr_array(G + (margin - lmin) * np.eye(n)))
+        assert got == want == (margin > 0)
+        verdicts.append(want)
+    assert 10 <= sum(verdicts) <= 40  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("H", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["off-diagonal-pivot", "singular-factor"])
+def test_h_spd_check_rejects_edge_cases(H):
+    with pytest.raises(NotPositiveDefinite, match="matrix not positive definite"):
+        precond.check_h_spd(sps.csr_array(np.array(H)))
+
+
+def test_case_i_build_peaks_below_one_square_array():
+    s = build_oseen(16, 0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build(s, CONSTRAINT, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * s.n * s.n
 
 
 def _zero_row_system():

@@ -9,6 +9,7 @@ from saddlekit import (
     BLOCK_TRI,
     CONSTRAINT,
     IterationReport,
+    NotPositiveDefinite,
     PChoice,
     SaddleSystem,
     SolveConfig,
@@ -161,6 +162,13 @@ class TestSweep:
         (report,) = omega_sweep(s, CONSTRAINT, "triangular_split", [2.0 * pd_bound(s.W)],
                                 cfg=SolveConfig(max_iters=50), enforce_pd=False)
         assert report.status != INFEASIBLE and report.iterations > 0
+
+    def test_indefinite_h_raises(self):
+        # the SPD check on H does not depend on omega: no omega is infeasible
+        s = build_oseen(4, 0.001)
+        for family in (CONSTRAINT, BLOCK_DIAG):
+            with pytest.raises(NotPositiveDefinite):
+                omega_sweep(s, family, "symmetric_scaled", [1.0, 2.0])
 
     def test_empty_grid_rejected(self):
         s = saddle(21)
