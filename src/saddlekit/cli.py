@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_lemma4, omega_bound_symmetric, omega_bound_triangular
-from .linalg import NotPositiveDefinite
+from .linalg import LinAlgFailure, NotPositiveDefinite
 from .precond import (
     BLOCK_DIAG,
     BLOCK_TRI,
@@ -169,9 +169,15 @@ def _solve_config(args) -> SolveConfig:
 
 
 def build_case(system, case: str, omega: float, enforce_pd: bool = False):
+    """The case's preconditioner.  An omega that a sweep would record as
+    infeasible (the PD gate, a P that overflows, a singular factor) is a
+    usage error that names omega."""
     family, kind = CASE_MAP[case]
-    return _premised(system, build, system, family,
-                     _checked(PChoice, kind=kind, omega=omega), enforce_pd=enforce_pd)
+    p_choice = _checked(PChoice, kind=kind, omega=omega)
+    try:
+        return _premised(system, build, system, family, p_choice, enforce_pd=enforce_pd)
+    except (ValueError, LinAlgFailure) as exc:
+        raise UsageError(f"--omega {omega:g}: {exc}") from exc
 
 
 def sweep_case(system, case: str, grid, solver: str, cfg: SolveConfig):
@@ -264,7 +270,7 @@ def _report_payload(report):
     return {
         "converged": report.converged,
         "iterations": report.iterations,
-        "final_res": report.final_res,
+        "final_res": report.final_res if math.isfinite(report.final_res) else None,
         "omega": report.omega,
         "status": report.status,
         "case": report.case_label,
@@ -273,7 +279,8 @@ def _report_payload(report):
 
 def _report_text(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_report_payload(report), indent=2, default=float) + "\n"
+        return json.dumps(_report_payload(report), indent=2, default=float,
+                          allow_nan=False) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["case", "omega", "iterations", "final_res", "status"])
@@ -285,7 +292,7 @@ def _report_text(report, fmt: str) -> str:
 def cmd_gen(args) -> int:
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     meta = export(system, args.out)
-    print(json.dumps(meta))
+    print(json.dumps(meta, allow_nan=False))
     return EXIT_OK
 
 
@@ -311,7 +318,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
                    "runs": [_report_payload(r) for r in reports]}
-        _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n", args.out)
     else:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -333,7 +340,7 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze is limited to l <= 16 (dense spectral cost)")
     family, kind = CASE_MAP[args.case]
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
-    pc = _checked(build_case, system, args.case, args.omega, enforce_pd=True)
+    pc = build_case(system, args.case, args.omega, enforce_pd=True)
     bounds = {
         "omega_bound_symmetric": _premised(system, omega_bound_symmetric, system.W),
         "omega_bound_triangular": _premised(system, omega_bound_triangular, system.W),
@@ -344,7 +351,7 @@ def cmd_analyze(args) -> int:
                    "nonsingular block-triangular family: the singular-iteration "
                    "convergence diagnostics target cases I-IV"}
         payload.update(bounds)
-        _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n", args.out)
         return EXIT_OK
     report = check_lemma4(system, pc)
     _emit(report.to_json(case=args.case, **bounds) + "\n", args.out)

@@ -6,9 +6,11 @@ Three families share the same (1,1) block P:
   deficient; its Moore-Penrose inverse is applied through one sparse LU of
   M with one pressure unknown per null vector of B^T pinned.
 * ``block_diag``:  M_b = diag(P, E), E = B P^{-1} B^T, also singular; the
-  pseudoinverse is diag(P^{-1}, E^+), E^+ from one LU of E + N N^T.
+  pseudoinverse is diag(P^{-1}, E^+), P^{-1} from one sparse LU of P and
+  E^+ from one dense LU of E + N N^T.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
-  application is an exact back-substitution solve.
+  application is an exact back-substitution solve through dense factors
+  of P, the only dense factors kept.
 
 P is either omega * H (requires H SPD) or the triangular product
 (1/omega) (I + omega L_s)(I + omega U_s), positive definite exactly when
@@ -40,6 +42,10 @@ SYMMETRIC_SCALED = "symmetric_scaled"
 TRIANGULAR_SPLIT = "triangular_split"
 CUSTOM = "custom"
 
+# columns of B^T per P-solve while forming E: one n x m solve would double
+# the build's peak at l=32 (47 against 24 MB by tracemalloc)
+_E_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class PChoice:
@@ -70,10 +76,11 @@ class Preconditioner:
     * constraint: one sparse LU of the pinned M (see :func:`build`) with the
       basis N of null(B^T) and the pinned rows; no factor of P, no E, no
       dense B;
-    * block-diagonal: the P-solves, E (its (2,2) block) and an LU of
-      E + N N^T;
-    * block-triangular: the P-solves and its own dense copy of B
-      (``dense_B``), taken at build.
+    * block-diagonal: one sparse LU of P (its P-solves), E (its (2,2)
+      block) and a dense LU of E + N N^T; no dense B and no n x n array;
+    * block-triangular: dense P-solves (a Cholesky factor of omega H, the
+      array I + omega S or an LU of the custom P) and its own dense copy
+      of B (``dense_B``), taken at build.
 
     ``B`` is the system's own CSR B, read by :func:`assemble`.  P is formed
     sparse on each read (``P`` densifies it) and never kept.
@@ -146,7 +153,7 @@ def _p_matrix(W, p_choice: PChoice) -> sps.csr_array:
 
 
 def _p_solves(W, p_choice: PChoice):
-    """(P^{-1}, P^{-T}) solves for the block families."""
+    """(P^{-1}, P^{-T}) dense solves for the block-triangular family."""
     omega = p_choice.omega
     if p_choice.kind == SYMMETRIC_SCALED:
         # doubles as the SPD check on H; Fortran order, so dpotrs copies nothing
@@ -177,11 +184,37 @@ def _p_solves(W, p_choice: PChoice):
         def p_solve_t(x):
             return omega * tri(tri(x, 1, 0), 0, 0)
 
+        # F is finite for every finite omega, but the solves overflow once
+        # omega S is huge (from omega = 80 at l=32): one probe solve refuses
+        # such an omega at build
+        with np.errstate(over="ignore"):
+            _finite(p_solve(np.ones(F.shape[0])))
         return p_solve, p_solve_t
     P = np.asarray(p_choice.custom_p, dtype=float)
     lu = sla.lu_factor(P)
     return (lambda x: sla.lu_solve(lu, _finite(x), check_finite=False),
             lambda x: sla.lu_solve(lu, _finite(x), trans=1, check_finite=False))
+
+
+def _p_lu_solves(P: sps.csr_array):
+    """(P^{-1}, P^{-T}) solves from one SuperLU factor of the sparse P."""
+    P = P.tocsc()
+    _finite(P.data)
+    try:
+        lu = splu(P)
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise LinAlgFailure(f"P is singular: {exc}") from exc
+    return (lambda x: lu.solve(_finite(x)), lambda x: lu.solve(_finite(x), trans="T"))
+
+
+def _schur_complement(B: sps.csr_array, p_solve) -> Array:
+    """E = B P^{-1} B^T, solved on column blocks of B^T so that no dense B
+    or n x m block is formed."""
+    m = B.shape[0]
+    E = np.empty((m, m))
+    for j in range(0, m, _E_BLOCK):
+        E[:, j:j + _E_BLOCK] = B @ p_solve(B[j:j + _E_BLOCK].toarray().T)
+    return _finite(E)  # P^{-1} overflows for a finite but huge P
 
 
 def check_h_spd(W) -> None:
@@ -241,15 +274,18 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     the pinned solve of Pi r with the pinned entries set to 0 satisfies M
     in every row: the pinned rows follow from V^T M = 0 and V^T Pi r = 0.
     Pi then removes the null component.  The constraint family keeps that
-    one sparse LU; the block-diagonal family takes
+    one sparse LU.  The block-diagonal family keeps one sparse LU of P, forms
+    E = B P^{-1} B^T from it on column blocks of B^T, and takes
     E^+ = (E + N N^T)^{-1} - N N^T from one dense LU.  The (2,2) block of
     the block-triangular family is h^2/nu times I, from the system's grid
     metadata, or I for a system without it.
 
-    A factor that is exactly singular raises LinAlgFailure.  P = omega H
-    needs H SPD: the constraint family runs :func:`check_h_spd`, and the
-    block families' Cholesky of omega H doubles as the check; either raises
-    NotPositiveDefinite.  ``enforce_pd=False`` skips the positive-definiteness
+    A factor that is exactly singular raises LinAlgFailure; a P, an E or a
+    block-triangular split P-solve with non-finite entries raises
+    ValueError.  P = omega H needs H SPD: both singular families run
+    :func:`check_h_spd`, and the block-triangular family's Cholesky of
+    omega H doubles as the check; either raises NotPositiveDefinite.
+    ``enforce_pd=False`` skips the positive-definiteness
     gate on the triangular-split P, and with it the SVD for ||L_s||_2.  The
     convergence theory assumes the gate, but the iteration itself is well
     defined (and sometimes convergent) beyond it.
@@ -263,25 +299,23 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
             raise ValueError(f"triangular-split P is not positive definite: "
                              f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
     make_p = partial(_p_matrix, W, p_choice)
-    if family == CONSTRAINT:
-        if p_choice.kind == SYMMETRIC_SCALED:
-            check_h_spd(W)
-        N = null_basis_BT(system)
-        pinned = _pinned_rows(N)
-        M_lu = _pinned_lu(_constraint_matrix(make_p(), system.B), system.n + pinned)
-        return Preconditioner(family, p_choice, make_p, system.B, N=N, M_lu=M_lu,
-                              pinned=pinned)
-    p_solves = _p_solves(W, p_choice)
-    B = system.B.toarray()
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu
         else:
             h_sq_over_nu = 1.0
-        return Preconditioner(family, p_choice, make_p, system.B, p_solves, dense_B=B,
-                              h_sq_over_nu=h_sq_over_nu)
+        return Preconditioner(family, p_choice, make_p, system.B, _p_solves(W, p_choice),
+                              dense_B=system.B.toarray(), h_sq_over_nu=h_sq_over_nu)
+    if p_choice.kind == SYMMETRIC_SCALED:
+        check_h_spd(W)
     N = null_basis_BT(system)
-    E = B @ p_solves[0](B.T)
+    if family == CONSTRAINT:
+        pinned = _pinned_rows(N)
+        M_lu = _pinned_lu(_constraint_matrix(make_p(), system.B), system.n + pinned)
+        return Preconditioner(family, p_choice, make_p, system.B, N=N, M_lu=M_lu,
+                              pinned=pinned)
+    p_solves = _p_lu_solves(make_p())
+    E = _schur_complement(system.B, p_solves[0])
     lu, piv, info = dgetrf(E + N @ N.T, overwrite_a=1)
     if info != 0:
         raise LinAlgFailure(f"E + N N^T is singular (LAPACK dgetrf info={info})")

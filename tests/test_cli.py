@@ -186,14 +186,42 @@ def test_table_grid_guard(capsys):
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:inf"),
     ("sweep", "--case", "I", "-l", "4", "--omega-grid", "0.1:0.2:1e-7"),
     ("sweep", "--case", "II", "-l", "4", "--omega-grid", "0:0.02:0.01"),
+    ("solve", "--case", "IV", "-l", "8", "--omega", "1e300"),
+    ("solve", "--case", "VI", "-l", "8", "--omega", "1e300"),
+    ("solve", "--case", "II", "-l", "8", "--omega", "1e-320"),
 ], ids=["solve-l", "solve-nu", "solve-omega", "sweep-l", "sweep-nu", "analyze-l", "analyze-nu",
         "solve-omega-nan", "solve-omega-inf", "solve-nu-nan", "solve-nu-inf",
         "sweep-grid-nan-a", "sweep-grid-inf-b", "sweep-grid-inf-step", "sweep-grid-too-large",
-        "sweep-grid-zero-a"])
+        "sweep-grid-zero-a", "solve-IV-omega-huge", "solve-VI-omega-huge",
+        "solve-II-omega-tiny"])
 def test_bad_input_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("saddlekit: error:")
+
+
+@pytest.mark.parametrize("case,omega,reason", [
+    ("IV", "1e300", "infs or NaNs"),  # P^{-1} overflows while forming E
+    ("III", "1e-320", "P is singular"),  # omega H underflows to a singular factor
+], ids=["overflow", "singular"])
+def test_unusable_omega_names_omega(capsys, case, omega, reason):
+    # a point a sweep records as infeasible: solve says which omega and why
+    code, out, err = run(capsys, "solve", "--case", case, "-l", "8", "--omega", omega)
+    assert code == EXIT_USAGE and out == ""
+    assert f"--omega {float(omega):g}: " in err and reason in err
+
+
+def test_sweep_json_is_strict(capsys):
+    # the infeasible rows have no RES: null, never the non-JSON NaN
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    code, out, _ = run(capsys, "sweep", "--case", "IV", "-l", "8", "--max-iters", "20",
+                       "--omega-grid", "0.5:1e300:5e299", "--format", "json")
+    assert code == EXIT_OK
+    runs = json.loads(out, parse_constant=refuse)["runs"]
+    assert [r["status"] for r in runs] == ["diverged", "infeasible", "infeasible"]
+    assert runs[0]["final_res"] > 0 and runs[1]["final_res"] is None
 
 
 @pytest.mark.parametrize("command, argv, target", [

@@ -229,7 +229,7 @@ def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
         solve = lambda x: sla.lu_solve(lu, x)
         solve_t = lambda x: sla.lu_solve(lu, x, trans=1)
         choice = PChoice(kind=kind, custom_p=P)
-    pc = build(s, BLOCK_DIAG, choice, enforce_pd=False)
+    pc = build(s, BLOCK_TRI, choice, enforce_pd=False)
     g = np.random.default_rng(5)
     for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
         for got, want in ((pc.p_solve(x), solve(x)), (pc.p_solve_t(x), solve_t(x))):
@@ -402,7 +402,7 @@ def test_six_builds_keep_two_dense_b():
     finally:
         tracemalloc.stop()
     # an m x n buffer alive after the builds can only be a block-triangular
-    # pc's B: the block-diagonal B and P^{-1} B^T are freed with their build
+    # pc's B: the other families make no dense B
     alive = [t for t in snapshot.traces if t.size == size]
     assert len(alive) == 2
     assert pcs[-2].dense_B is not pcs[-1].dense_B
@@ -457,8 +457,11 @@ def test_constraint_build_takes_no_dense_cholesky(monkeypatch):
     for omega in (0.5, 1.0, 2.0):
         build(s, CONSTRAINT, PChoice(kind=SYMMETRIC_SCALED, omega=omega))
     assert calls == []  # the SPD check on H is a sparse LU
-    # the block families factor omega H itself, on every build
+    # the block-diagonal family factors omega H sparse as well
     build(s, BLOCK_DIAG, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
+    assert calls == []
+    # the block-triangular family keeps a dense Cholesky factor of omega H
+    build(s, BLOCK_TRI, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
     assert calls == [(s.n, s.n)]
 
 
@@ -536,3 +539,77 @@ def test_singular_factor_raises_linalg_failure(family):
 def test_singular_factor_is_an_infeasible_sweep_point(family):
     reports = omega_sweep(_zero_row_system(), family, TRIANGULAR_SPLIT, [0.01, 0.02])
     assert [r.status for r in reports] == [INFEASIBLE, INFEASIBLE]
+
+
+@pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
+def test_block_diag_build_holds_no_square_array(kind, omega):
+    # tracemalloc does not see SuperLU's own mallocs: the sparse LU of P is
+    # outside both figures
+    s = build_oseen(16, 0.001)
+    square = 8 * s.n * s.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega), enforce_pd=False)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
+    arrays += [a for a in pc.E_lu if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) <= s.m * s.m
+    assert pc.dense_B is None
+    # E and the LU of E + N N^T, with room for small objects
+    assert kept - base <= pc.E.nbytes + pc.E_lu[0].nbytes + 64 * 1024
+    assert peak - base < square
+
+
+def _block_diag_cases():
+    for l in (8, 16):
+        for nu in (0.1, 0.001):
+            yield pytest.param(("oseen", l, nu), id=f"oseen{l}-{nu}")
+    for seed in (0, 1):
+        yield pytest.param(("random", seed), id=f"random{seed}")
+
+
+@pytest.mark.parametrize("system", list(_block_diag_cases()))
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+def test_block_diag_p_solves_and_e_match_dense(system, kind):
+    if system[0] == "random":
+        s = build_random_singular(n=30, m=12, rank_b=10, seed=system[1])
+    else:
+        s = build_oseen(system[1], system[2])
+    omega = 0.5 * pd_bound(s.W) if kind == TRIANGULAR_SPLIT else 1.0
+    pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega))
+    P, B = pc.P, s.B.toarray()
+    X = np.random.default_rng(3).standard_normal((s.n, 3))
+    for got, want in ((pc.p_solve(X), np.linalg.solve(P, X)),
+                      (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
+                      (pc.p_solve_t(X), np.linalg.solve(P.T, X)),
+                      (pc.E, B @ np.linalg.solve(P, B.T))):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_block_diag_indefinite_h_message():
+    with pytest.raises(NotPositiveDefinite) as exc:
+        build(build_oseen(4, 0.001), BLOCK_DIAG, PChoice(kind=SYMMETRIC_SCALED))
+    assert str(exc.value) == "matrix not positive definite"
+
+
+@pytest.mark.parametrize("family", [BLOCK_DIAG, BLOCK_TRI])
+def test_overflowing_p_solves_rejected(family):
+    # P is finite at omega = 1e300, but P^{-1} is not representable
+    with pytest.raises(ValueError):
+        build(build_oseen(8, 0.001), family, PChoice(kind=TRIANGULAR_SPLIT, omega=1e300),
+              enforce_pd=False)
+
+
+def test_singular_p_is_a_linalg_failure():
+    s = saddle(9)
+    P = np.eye(s.n)
+    P[-1, -1] = 0.0
+    with pytest.raises(LinAlgFailure, match="P is singular"):
+        build(s, BLOCK_DIAG, PChoice(kind="custom", custom_p=P))
+    # omega H at omega = 1e-320 underflows to an exactly singular factor
+    reports = omega_sweep(build_oseen(8, 0.1), BLOCK_DIAG, SYMMETRIC_SCALED, [1e-320])
+    assert [r.status for r in reports] == [INFEASIBLE]
