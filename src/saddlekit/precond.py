@@ -7,7 +7,8 @@ Three families share the same (1,1) block P:
   M with one pressure unknown per null vector of B^T pinned.
 * ``block_diag``:  M_b = diag(P, E), E = B P^{-1} B^T, also singular; the
   pseudoinverse is diag(P^{-1}, E^+), P^{-1} from one sparse LU of P and
-  E^+ from one dense LU of E + N N^T.
+  E^+ r2 the pressure part of M^+ (0; r2), from the constraint family's
+  pinned LU of M; E itself is formed only by :func:`assemble`.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
   application is an exact back-substitution solve through dense factors
   of P, the only dense factors kept.
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.sparse.linalg import splu
 
 from .linalg import Array, LinAlgFailure, NotPositiveDefinite, cholesky, spectral_norm
@@ -42,8 +43,8 @@ SYMMETRIC_SCALED = "symmetric_scaled"
 TRIANGULAR_SPLIT = "triangular_split"
 CUSTOM = "custom"
 
-# columns of B^T per P-solve while forming E: one n x m solve would double
-# the build's peak at l=32 (47 against 24 MB by tracemalloc)
+# columns of B^T per P-solve while assemble forms E: one n x m solve would
+# double the peak at l=32 (47 against 24 MB by tracemalloc)
 _E_BLOCK = 64
 
 
@@ -76,8 +77,9 @@ class Preconditioner:
     * constraint: one sparse LU of the pinned M (see :func:`build`) with the
       basis N of null(B^T) and the pinned rows; no factor of P, no E, no
       dense B;
-    * block-diagonal: one sparse LU of P (its P-solves), E (its (2,2)
-      block) and a dense LU of E + N N^T; no dense B and no n x n array;
+    * block-diagonal: one sparse LU of P (its P-solves) and the constraint
+      family's pinned LU of M with N and the pinned rows (its E^+); no E,
+      no dense B and no n x n array;
     * block-triangular: dense P-solves (a Cholesky factor of omega H, the
       array I + omega S or an LU of the custom P) and its own dense copy
       of B (``dense_B``), taken at build.
@@ -87,16 +89,13 @@ class Preconditioner:
     """
 
     def __init__(self, family, p_choice, make_p, B, p_solves=(_no_p_factor, _no_p_factor),
-                 dense_B=None, E=None, E_lu=None, N=None, M_lu=None, pinned=None,
-                 h_sq_over_nu=None):
+                 dense_B=None, N=None, M_lu=None, pinned=None, h_sq_over_nu=None):
         self.family = family
         self.p_choice = p_choice
         self._make_p = make_p
         self._p_solve, self._p_solve_t = p_solves
         self.B = B
         self.dense_B = dense_B
-        self.E = E
-        self.E_lu = E_lu
         self.N = N
         self.M_lu = M_lu
         self.pinned = pinned
@@ -204,17 +203,20 @@ def _p_lu_solves(P: sps.csr_array):
         lu = splu(P)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise LinAlgFailure(f"P is singular: {exc}") from exc
+    # P^{-1} overflows for a finite but huge P (the triangular split at
+    # omega = 1e300): one probe solve refuses such an omega at build
+    _finite(lu.solve(np.ones(P.shape[0])))
     return (lambda x: lu.solve(_finite(x)), lambda x: lu.solve(_finite(x), trans="T"))
 
 
 def _schur_complement(B: sps.csr_array, p_solve) -> Array:
     """E = B P^{-1} B^T, solved on column blocks of B^T so that no dense B
-    or n x m block is formed."""
+    or n x m block is formed; only :func:`assemble` forms it."""
     m = B.shape[0]
     E = np.empty((m, m))
     for j in range(0, m, _E_BLOCK):
         E[:, j:j + _E_BLOCK] = B @ p_solve(B[j:j + _E_BLOCK].toarray().T)
-    return _finite(E)  # P^{-1} overflows for a finite but huge P
+    return E
 
 
 def check_h_spd(W) -> None:
@@ -274,15 +276,18 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     the pinned solve of Pi r with the pinned entries set to 0 satisfies M
     in every row: the pinned rows follow from V^T M = 0 and V^T Pi r = 0.
     Pi then removes the null component.  The constraint family keeps that
-    one sparse LU.  The block-diagonal family keeps one sparse LU of P, forms
-    E = B P^{-1} B^T from it on column blocks of B^T, and takes
-    E^+ = (E + N N^T)^{-1} - N N^T from one dense LU.  The (2,2) block of
-    the block-triangular family is h^2/nu times I, from the system's grid
+    one sparse LU.  The block-diagonal family keeps it too (P is formed once
+    for both) and one sparse LU of P for P^{-1}.  Its E^+ needs no E: for
+    r = (0; r2), M y = Pi r gives u = -P^{-1} B^T p and E p = (I - N N^T) r2
+    with E = B P^{-1} B^T, and the minimum-norm y has p orthogonal to N, so
+    p = E^+ r2 (the "T" solve gives (E^+)^T r2).  The (2,2) block of the
+    block-triangular family is h^2/nu times I, from the system's grid
     metadata, or I for a system without it.
 
-    A factor that is exactly singular raises LinAlgFailure; a P, an E or a
-    block-triangular split P-solve with non-finite entries raises
-    ValueError.  P = omega H needs H SPD: both singular families run
+    A factor that is exactly singular raises LinAlgFailure; a P with
+    non-finite entries, or a block-diagonal P^{-1} or block-triangular
+    split P-solve that overflows on a probe solve, raises ValueError.
+    P = omega H needs H SPD: both singular families run
     :func:`check_h_spd`, and the block-triangular family's Cholesky of
     omega H doubles as the check; either raises NotPositiveDefinite.
     ``enforce_pd=False`` skips the positive-definiteness
@@ -309,18 +314,12 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     if p_choice.kind == SYMMETRIC_SCALED:
         check_h_spd(W)
     N = null_basis_BT(system)
-    if family == CONSTRAINT:
-        pinned = _pinned_rows(N)
-        M_lu = _pinned_lu(_constraint_matrix(make_p(), system.B), system.n + pinned)
-        return Preconditioner(family, p_choice, make_p, system.B, N=N, M_lu=M_lu,
-                              pinned=pinned)
-    p_solves = _p_lu_solves(make_p())
-    E = _schur_complement(system.B, p_solves[0])
-    lu, piv, info = dgetrf(E + N @ N.T, overwrite_a=1)
-    if info != 0:
-        raise LinAlgFailure(f"E + N N^T is singular (LAPACK dgetrf info={info})")
-    return Preconditioner(family, p_choice, make_p, system.B, p_solves, E=E,
-                          E_lu=(lu, piv), N=N)
+    P = make_p()
+    p_solves = _p_lu_solves(P) if family == BLOCK_DIAG else (_no_p_factor, _no_p_factor)
+    pinned = _pinned_rows(N)
+    M_lu = _pinned_lu(_constraint_matrix(P, system.B), system.n + pinned)
+    return Preconditioner(family, p_choice, make_p, system.B, p_solves, N=N, M_lu=M_lu,
+                          pinned=pinned)
 
 
 def _remove_null(x: Array, N: Array) -> None:
@@ -339,11 +338,12 @@ def _constraint_solve(pc: Preconditioner, r: Array, trans: str) -> Array:
     return y
 
 
-def _e_pinv(pc: Preconditioner, r2: Array, trans: int) -> Array:
-    """E^+ r2 (trans=0) or (E^+)^T r2 (trans=1), as (E + N N^T)^{-1} r2 - N N^T r2."""
-    y = _lapack(dgetrs, *pc.E_lu, _finite(r2), trans=trans)
-    y -= pc.N @ (pc.N.T @ r2)
-    return y
+def _e_pinv(pc: Preconditioner, r2: Array, trans: str) -> Array:
+    """E^+ r2 (trans="N") or (E^+)^T r2 (trans="T"): the pressure part of
+    M^+ (0; r2) or of (M^+)^T (0; r2)."""
+    r = np.zeros((pc.n + pc.m, *r2.shape[1:]))
+    r[pc.n:] = r2
+    return _constraint_solve(pc, r, trans)[pc.n:]
 
 
 def _checked_length(pc: Preconditioner, r: Array) -> Array:
@@ -361,7 +361,7 @@ def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:
         return _constraint_solve(pc, r, "N")
     r1, r2 = r[:n], r[n:]
     if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, 0)])
+        return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, "N")])
     # block_tri: exact solve by back-substitution
     y2 = r2 / pc.h_sq_over_nu
     y1 = pc.p_solve(r1 - pc.dense_B.T @ y2)
@@ -376,7 +376,7 @@ def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
         return _constraint_solve(pc, r, "T")
     r1, r2 = r[:n], r[n:]
     if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve_t(r1), _e_pinv(pc, r2, 1)])
+        return np.concatenate([pc.p_solve_t(r1), _e_pinv(pc, r2, "T")])
     y1 = pc.p_solve_t(r1)
     y2 = (r2 - pc.dense_B @ y1) / pc.h_sq_over_nu
     return np.concatenate([y1, y2])
@@ -390,7 +390,7 @@ def assemble(pc: Preconditioner) -> Array:
         blocks = _constraint_matrix(pc._make_p(), pc.B)
     elif pc.family == BLOCK_DIAG:
         blocks = pc._make_p().tocoo()
-        M[n:, n:] = pc.E
+        M[n:, n:] = _schur_complement(pc.B, pc.p_solve)
     else:
         blocks = sps.block_array([[pc._make_p(), pc.B.T],
                                   [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="coo")

@@ -201,7 +201,7 @@ def test_bad_input_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("case,omega,reason", [
-    ("IV", "1e300", "infs or NaNs"),  # P^{-1} overflows while forming E
+    ("IV", "1e300", "infs or NaNs"),  # P^{-1} overflows on the build's probe solve
     ("III", "1e-320", "P is singular"),  # omega H underflows to a singular factor
 ], ids=["overflow", "singular"])
 def test_unusable_omega_names_omega(capsys, case, omega, reason):
@@ -209,6 +209,16 @@ def test_unusable_omega_names_omega(capsys, case, omega, reason):
     code, out, err = run(capsys, "solve", "--case", case, "-l", "8", "--omega", omega)
     assert code == EXIT_USAGE and out == ""
     assert f"--omega {float(omega):g}: " in err and reason in err
+
+
+def test_block_diag_at_huge_omega_runs(capsys):
+    # P = omega H is SPD and E is nonsingular on range(B) at omega = 1e300:
+    # the build succeeds and the solve ends, diverged, at its first step
+    code, out, err = run(capsys, "solve", "--case", "III", "-l", "8", "--omega", "1e300",
+                         "--format", "json")
+    assert code == EXIT_DIVERGED and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "diverged" and payload["iterations"] == 1
 
 
 def test_sweep_json_is_strict(capsys):

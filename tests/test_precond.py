@@ -1,5 +1,6 @@
 """The block pseudoinverse formulas against SVD oracles."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -306,7 +307,7 @@ def test_constraint_build_holds_no_square_array(kind, omega):
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
     assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
-    assert pc.dense_B is None and pc.E is None and pc.E_lu is None
+    assert pc.dense_B is None
     # the sparse LU of the pinned M is a small fraction of one dense n x n array
     assert kept - base <= 0.25 * 8 * s.n * s.n
 
@@ -352,14 +353,33 @@ def test_block_tri_keeps_its_own_dense_b():
 
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_e_kept_by_block_diag_only(family, kind):
+def test_no_family_keeps_e(family, kind):
+    # E is formed only by assemble (test_assemble_matches_inline_blocks)
     s = build_oseen(8, 0.001)
     pc = build(s, family, PChoice(kind=kind, omega=0.05), enforce_pd=False)
-    if family != BLOCK_DIAG:
-        assert pc.E is None
-        return
-    B = s.B.toarray()
-    assert pc.E.tobytes() == (B @ pc.p_solve(B.T)).tobytes()
+    arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
+    assert all(a.shape != (s.m, s.m) for a in arrays)
+    # both singular families keep the pinned LU of M, the block-diagonal one for E^+
+    assert (pc.M_lu is not None) == (family != BLOCK_TRI)
+
+
+# sha256 of assemble's (2,2) block E = B P^{-1} B^T on build_oseen(8, nu) with
+# omega 0.5 (P = omega H) or 0.05 (triangular split, no PD gate), pinned to
+# the bit so that any change in how E is formed shows
+E_DIGESTS = [
+    (0.1, SYMMETRIC_SCALED, "4329f00f803441babaacb6b43f10300a7f86e5359ef567b7a0fbeae41ccb1a75"),
+    (0.001, SYMMETRIC_SCALED, "8aa5c082465bd0390413a0be33c5667f3ef6a836fe61af241d63b983dc34cd10"),
+    (0.1, TRIANGULAR_SPLIT, "5d2d77f60bb497d32e04027eda1908d3e4a4d4c129fc6d7033ec0c294979aa84"),
+    (0.001, TRIANGULAR_SPLIT, "5d2d77f60bb497d32e04027eda1908d3e4a4d4c129fc6d7033ec0c294979aa84"),
+]
+
+
+@pytest.mark.parametrize("nu,kind,digest", E_DIGESTS)
+def test_assembled_e_pinned(nu, kind, digest):
+    s = build_oseen(8, nu)
+    omega = 0.5 if kind == SYMMETRIC_SCALED else 0.05
+    pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    assert hashlib.sha256(assemble(pc)[s.n:, s.n:].tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
@@ -530,7 +550,7 @@ def _zero_row_system():
 
 @pytest.mark.parametrize("family", [CONSTRAINT, BLOCK_DIAG])
 def test_singular_factor_raises_linalg_failure(family):
-    # SuperLU's RuntimeError for the pinned M, LAPACK's info for E + N N^T
+    # SuperLU's RuntimeError for the pinned M, which both singular families factor
     with pytest.raises(LinAlgFailure, match="singular"):
         build(_zero_row_system(), family, PChoice(kind=SYMMETRIC_SCALED))
 
@@ -543,8 +563,8 @@ def test_singular_factor_is_an_infeasible_sweep_point(family):
 
 @pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
 def test_block_diag_build_holds_no_square_array(kind, omega):
-    # tracemalloc does not see SuperLU's own mallocs: the sparse LU of P is
-    # outside both figures
+    # tracemalloc does not see SuperLU's own mallocs: the sparse LUs of P and
+    # of the pinned M are outside both figures
     s = build_oseen(16, 0.001)
     square = 8 * s.n * s.n
     tracemalloc.start()
@@ -555,11 +575,10 @@ def test_block_diag_build_holds_no_square_array(kind, omega):
     finally:
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
-    arrays += [a for a in pc.E_lu if isinstance(a, np.ndarray)]
-    assert max(a.size for a in arrays) <= s.m * s.m
+    assert max(a.size for a in arrays) <= s.m  # N and the pinned rows only
     assert pc.dense_B is None
-    # E and the LU of E + N N^T, with room for small objects
-    assert kept - base <= pc.E.nbytes + pc.E_lu[0].nbytes + 64 * 1024
+    # N, with room for small objects
+    assert kept - base <= pc.N.nbytes + 64 * 1024
     assert peak - base < square
 
 
@@ -585,9 +604,38 @@ def test_block_diag_p_solves_and_e_match_dense(system, kind):
     for got, want in ((pc.p_solve(X), np.linalg.solve(P, X)),
                       (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
                       (pc.p_solve_t(X), np.linalg.solve(P.T, X)),
-                      (pc.E, B @ np.linalg.solve(P, B.T))):
+                      (assemble(pc)[s.n:, s.n:], B @ np.linalg.solve(P, B.T))):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _e_pinv_cases():
+    for l in (8, 16):
+        for nu in (0.1, 0.001):
+            yield pytest.param(("oseen", l, nu), id=f"oseen{l}-{nu}")
+    for null_dim in (2, 3):
+        yield pytest.param(("random", null_dim), id=f"random-null{null_dim}")
+
+
+@pytest.mark.parametrize("system", list(_e_pinv_cases()))
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+def test_block_diag_e_pinv_matches_pinv(system, kind):
+    # E^+ r2 is the pressure part of M^+ (0; r2), several pressures pinned
+    # when null(B^T) has dimension 2 or 3
+    if system[0] == "random":
+        s = build_random_singular(n=30, m=12, rank_b=12 - system[1], seed=system[1])
+    else:
+        s = build_oseen(system[1], system[2])
+    omega = 0.5 * pd_bound(s.W) if kind == TRIANGULAR_SPLIT else 1.0
+    pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega))
+    B = s.B.toarray()
+    E_dag = np.linalg.pinv(B @ np.linalg.solve(pc.P, B.T))
+    R = np.zeros((s.n + s.m, 3))
+    R[s.n:] = np.random.default_rng(5).standard_normal((s.m, 3))
+    for got, want in ((apply_pseudo_inverse(pc, R)[s.n:], E_dag @ R[s.n:]),
+                      (apply_pseudo_inverse_transpose(pc, R)[s.n:], E_dag.T @ R[s.n:]),
+                      (apply_pseudo_inverse(pc, R[:, 0])[s.n:], E_dag @ R[s.n:, 0])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_block_diag_indefinite_h_message():
