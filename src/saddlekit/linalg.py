@@ -1,8 +1,7 @@
 """Dense linear algebra kernels used across the package.
 
 Everything here computes on plain ``numpy.ndarray`` carriers (real, dense,
-row-major); a ``scipy.sparse`` argument is densified first (``cholesky``
-checks it on its stored entries before that).  Factorizations
+row-major); a ``scipy.sparse`` argument is densified first.  Factorizations
 are delegated to LAPACK through numpy; the wrappers pin down the
 rank-truncation and tolerance conventions the rest of the package relies on.
 """
@@ -85,25 +84,6 @@ def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     return (f.V[:, :r] * (1.0 / f.singular_values[:r])) @ f.U[:, :r].T
 
 
-def cholesky(A: Array) -> Array:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
-
-    A ``scipy.sparse`` A is checked on its stored entries, in O(nnz), and
-    densified only for LAPACK.  Failure of the factorization doubles as the
-    runtime SPD test.
-    """
-    if sps.issparse(A):
-        if not np.isfinite(A.data).all():
-            raise ValueError("matrix has non-finite entries")
-    else:
-        A = _as_matrix(A)
-    _check_symmetric(A)
-    try:
-        return np.linalg.cholesky(dense(A))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix not positive definite") from exc
-
-
 def eigenvalues(A: Array) -> Array:
     """Full spectrum of a square matrix (real Schur based, conjugate pairs exact)."""
     A = _as_matrix(A)
@@ -146,18 +126,12 @@ def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
-def _check_symmetric(A) -> None:
-    """Raise unless max|A - A^T| <= 1e-12 max|A|; a sparse A on its stored entries."""
-    asym = A - A.T
-    entries, asym = (A.data, asym.data) if sps.issparse(A) else (A, asym)
-    scale = np.abs(entries).max(initial=0.0)
-    if scale > 0 and np.abs(asym).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-
-
 def _sym_eig(A: Array) -> tuple[Array, Array]:
+    """eigh of A; raises unless max|A - A^T| <= 1e-12 max|A|."""
     A = _as_matrix(A)
-    _check_symmetric(A)
+    scale = np.abs(A).max(initial=0.0)
+    if scale > 0 and np.abs(A - A.T).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(A)
 
 

@@ -10,8 +10,10 @@ Three families share the same (1,1) block P:
   E^+ r2 the pressure part of M^+ (0; r2), from the constraint family's
   pinned LU of M; E itself is formed only by :func:`assemble`.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
-  application is an exact back-substitution solve through dense factors
-  of P, the only dense factors kept.
+  application is an exact back-substitution solve through one sparse LU
+  of P and the system's CSR B.
+
+No family keeps a dense factor, a dense B or an n x n array.
 
 P is either omega * H (requires H SPD) or the triangular product
 (1/omega) (I + omega L_s)(I + omega U_s), positive definite exactly when
@@ -27,10 +29,9 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.sparse.linalg import splu
 
-from .linalg import Array, LinAlgFailure, NotPositiveDefinite, cholesky, spectral_norm
+from .linalg import Array, LinAlgFailure, NotPositiveDefinite, spectral_norm
 from .problems import (SaddleSystem, lower_skew_part, null_basis_BT, skew_part,
                        symmetric_part)
 
@@ -75,27 +76,24 @@ class Preconditioner:
     It keeps what its applies read:
 
     * constraint: one sparse LU of the pinned M (see :func:`build`) with the
-      basis N of null(B^T) and the pinned rows; no factor of P, no E, no
-      dense B;
+      basis N of null(B^T) and the pinned rows; no factor of P;
     * block-diagonal: one sparse LU of P (its P-solves) and the constraint
-      family's pinned LU of M with N and the pinned rows (its E^+); no E,
-      no dense B and no n x n array;
-    * block-triangular: dense P-solves (a Cholesky factor of omega H, the
-      array I + omega S or an LU of the custom P) and its own dense copy
-      of B (``dense_B``), taken at build.
+      family's pinned LU of M with N and the pinned rows (its E^+);
+    * block-triangular: one sparse LU of P (its P-solves) and h^2/nu.
 
-    ``B`` is the system's own CSR B, read by :func:`assemble`.  P is formed
-    sparse on each read (``P`` densifies it) and never kept.
+    None keeps E, a dense factor, a dense B or an n x n array.  ``B`` is the
+    system's own CSR B, read by the block-triangular back-substitution and
+    by :func:`assemble`.  P is formed sparse on each read (``P`` densifies
+    it) and never kept.
     """
 
     def __init__(self, family, p_choice, make_p, B, p_solves=(_no_p_factor, _no_p_factor),
-                 dense_B=None, N=None, M_lu=None, pinned=None, h_sq_over_nu=None):
+                 N=None, M_lu=None, pinned=None, h_sq_over_nu=None):
         self.family = family
         self.p_choice = p_choice
         self._make_p = make_p
         self._p_solve, self._p_solve_t = p_solves
         self.B = B
-        self.dense_B = dense_B
         self.N = N
         self.M_lu = M_lu
         self.pinned = pinned
@@ -118,17 +116,9 @@ class Preconditioner:
 
 def _finite(x: Array) -> Array:
     # Factors are checked once, at build; each solve checks only its right-hand
-    # side before LAPACK sees it.
+    # side before SuperLU sees it.
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return x
-
-
-def _lapack(routine, *args, **kwargs) -> Array:
-    """One LAPACK solve; the right-hand side is copied, never overwritten."""
-    x, info = routine(*args, **kwargs)
-    if info != 0:
-        raise LinAlgFailure(f"LAPACK solve failed with info={info}")
     return x
 
 
@@ -149,50 +139,6 @@ def _p_matrix(W, p_choice: PChoice) -> sps.csr_array:
         L_s, U_s = sps.tril(S, -1, format="csr"), sps.triu(S, 1, format="csr")
         return S + sps.eye_array(S.shape[0], format="csr") / omega + omega * (L_s @ U_s)
     return sps.csr_array(np.asarray(p_choice.custom_p, dtype=float))
-
-
-def _p_solves(W, p_choice: PChoice):
-    """(P^{-1}, P^{-T}) dense solves for the block-triangular family."""
-    omega = p_choice.omega
-    if p_choice.kind == SYMMETRIC_SCALED:
-        # doubles as the SPD check on H; Fortran order, so dpotrs copies nothing
-        L = np.asfortranarray(cholesky(omega * symmetric_part(W)))
-
-        def p_solve(x):
-            return _lapack(dpotrs, L, _finite(x), lower=1)
-
-        return p_solve, p_solve
-    if p_choice.kind == TRIANGULAR_SPLIT:
-        # one array F = I + omega S holds both factors: its lower triangle is
-        # Fl = I + omega L_s and its upper triangle Fu = I + omega U_s
-        F = skew_part(W).toarray()
-        F *= omega
-        np.fill_diagonal(F, 1.0)
-        _finite(F)
-        # dtrtrs reads Fortran order, so it gets F.T (a view, no copy): Fl y = x
-        # is solved as (Fl.T)^T y = x on the upper triangle of F.T with trans=1,
-        # Fu on its lower triangle; the P^{-T} solves use trans=0
-        Ft = F.T
-
-        def tri(x, lower, trans):
-            return _lapack(dtrtrs, Ft, _finite(x), lower=lower, trans=trans)
-
-        def p_solve(x):
-            return omega * tri(tri(x, 0, 1), 1, 1)
-
-        def p_solve_t(x):
-            return omega * tri(tri(x, 1, 0), 0, 0)
-
-        # F is finite for every finite omega, but the solves overflow once
-        # omega S is huge (from omega = 80 at l=32): one probe solve refuses
-        # such an omega at build
-        with np.errstate(over="ignore"):
-            _finite(p_solve(np.ones(F.shape[0])))
-        return p_solve, p_solve_t
-    P = np.asarray(p_choice.custom_p, dtype=float)
-    lu = sla.lu_factor(P)
-    return (lambda x: sla.lu_solve(lu, _finite(x), check_finite=False),
-            lambda x: sla.lu_solve(lu, _finite(x), trans=1, check_finite=False))
 
 
 def _p_lu_solves(P: sps.csr_array):
@@ -280,16 +226,15 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     for both) and one sparse LU of P for P^{-1}.  Its E^+ needs no E: for
     r = (0; r2), M y = Pi r gives u = -P^{-1} B^T p and E p = (I - N N^T) r2
     with E = B P^{-1} B^T, and the minimum-norm y has p orthogonal to N, so
-    p = E^+ r2 (the "T" solve gives (E^+)^T r2).  The (2,2) block of the
-    block-triangular family is h^2/nu times I, from the system's grid
-    metadata, or I for a system without it.
+    p = E^+ r2 (the "T" solve gives (E^+)^T r2).  The block-triangular
+    family keeps one sparse LU of P for P^{-1} and P^{-T} too; its (2,2)
+    block is h^2/nu times I, from the system's grid metadata, or I for a
+    system without it.
 
     A factor that is exactly singular raises LinAlgFailure; a P with
-    non-finite entries, or a block-diagonal P^{-1} or block-triangular
-    split P-solve that overflows on a probe solve, raises ValueError.
-    P = omega H needs H SPD: both singular families run
-    :func:`check_h_spd`, and the block-triangular family's Cholesky of
-    omega H doubles as the check; either raises NotPositiveDefinite.
+    non-finite entries, or a P^{-1} that overflows on a probe solve, raises
+    ValueError.  P = omega H needs H SPD: every family runs
+    :func:`check_h_spd`, which raises NotPositiveDefinite.
     ``enforce_pd=False`` skips the positive-definiteness
     gate on the triangular-split P, and with it the SVD for ||L_s||_2.  The
     convergence theory assumes the gate, but the iteration itself is well
@@ -303,19 +248,19 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
         if omega >= bound:
             raise ValueError(f"triangular-split P is not positive definite: "
                              f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
+    if p_choice.kind == SYMMETRIC_SCALED:
+        check_h_spd(W)
     make_p = partial(_p_matrix, W, p_choice)
+    P = make_p()
+    p_solves = (_no_p_factor, _no_p_factor) if family == CONSTRAINT else _p_lu_solves(P)
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu
         else:
             h_sq_over_nu = 1.0
-        return Preconditioner(family, p_choice, make_p, system.B, _p_solves(W, p_choice),
-                              dense_B=system.B.toarray(), h_sq_over_nu=h_sq_over_nu)
-    if p_choice.kind == SYMMETRIC_SCALED:
-        check_h_spd(W)
+        return Preconditioner(family, p_choice, make_p, system.B, p_solves,
+                              h_sq_over_nu=h_sq_over_nu)
     N = null_basis_BT(system)
-    P = make_p()
-    p_solves = _p_lu_solves(P) if family == BLOCK_DIAG else (_no_p_factor, _no_p_factor)
     pinned = _pinned_rows(N)
     M_lu = _pinned_lu(_constraint_matrix(P, system.B), system.n + pinned)
     return Preconditioner(family, p_choice, make_p, system.B, p_solves, N=N, M_lu=M_lu,
@@ -364,7 +309,7 @@ def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:
         return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, "N")])
     # block_tri: exact solve by back-substitution
     y2 = r2 / pc.h_sq_over_nu
-    y1 = pc.p_solve(r1 - pc.dense_B.T @ y2)
+    y1 = pc.p_solve(r1 - pc.B.T @ y2)
     return np.concatenate([y1, y2])
 
 
@@ -378,7 +323,7 @@ def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
     if pc.family == BLOCK_DIAG:
         return np.concatenate([pc.p_solve_t(r1), _e_pinv(pc, r2, "T")])
     y1 = pc.p_solve_t(r1)
-    y2 = (r2 - pc.dense_B @ y1) / pc.h_sq_over_nu
+    y2 = (r2 - pc.B @ y1) / pc.h_sq_over_nu
     return np.concatenate([y1, y2])
 
 

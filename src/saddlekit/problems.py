@@ -29,9 +29,6 @@ import scipy.sparse as sps
 
 from .linalg import Array, dense, null_basis, svd
 
-#: Rows per dense block of the manufactured right-hand side A @ x*.
-RHS_BLOCK_ROWS = 64
-
 
 def wind_x(x, y):
     return 8.0 * x * (x - 1.0) * (1.0 - 2.0 * y)
@@ -233,11 +230,7 @@ def build_oseen(l: int, nu: float, seed: int = 0) -> SaddleSystem:
 def make_consistent_rhs(system: SaddleSystem, seed: int = 0) -> Array:
     """The manufactured b = A x* for a seeded pseudo-random x*, hence in range(A)."""
     x_star = np.random.default_rng(seed).standard_normal(system.n + system.m)
-    A = system.matrix()
-    # dense products of 64-row blocks: the bits of one dense A @ x_star
-    # (blocks of 1 or 3 rows are not), without the dense (n+m)^2 A
-    return np.concatenate([A[i:i + RHS_BLOCK_ROWS].toarray() @ x_star
-                           for i in range(0, A.shape[0], RHS_BLOCK_ROWS)])
+    return system.matrix() @ x_star
 
 
 def build_random_singular(n: int, m: int, rank_b: int, seed: int) -> SaddleSystem:

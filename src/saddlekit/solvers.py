@@ -70,14 +70,14 @@ class _Run:
     It owns A, b and ||b||, takes every true residual (recording RES and
     applying the divergence cap) and writes the report for each way a run
     ends, so a solver's loop only makes its next iterate from x = 0 until
-    ``done``.  A is one dense copy of ``system.matrix()`` per run: its
-    products A @ x are the bits every pinned iterate was computed from.
+    ``done``.  A is the system's CSR ``matrix()``, read by every product
+    with A (and by QMR's A^T products).
     """
 
     def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
                  cfg: SolveConfig | None, case_label: str):
         self.cfg = cfg = cfg or SolveConfig()
-        self.A = system.matrix().toarray()
+        self.A = system.matrix()
         self.b = system.rhs()
         self.b_norm = float(np.linalg.norm(self.b)) or 1.0
         self.omega = 1.0 if pc is None else pc.p_choice.omega

@@ -4,9 +4,11 @@ import sys
 import pytest
 
 # The l=16 table counts are the behaviour fingerprint, and BLAS rounding
-# depends on its thread count (table 3, nu=0.1, Case V takes 2886 GMRES
-# steps with one OpenBLAS thread and 3480 with two): pin one thread before
-# numpy is first imported.  OpenBLAS reads the pin only when it loads, so a
+# can depend on its thread count (the dense A @ x once moved table 3, nu=0.1,
+# Case V from 2886 GMRES steps with one OpenBLAS thread to 3480 with two; on
+# the CSR A all three l=16 tables read the same with one thread and two, and
+# that cell takes 3710 steps either way): pin one thread before numpy is
+# first imported.  OpenBLAS reads the pin only when it loads, so a
 # numpy or scipy loaded earlier (by a plugin or an ini setting) is refused.
 _loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
 if _loaded:

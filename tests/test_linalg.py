@@ -7,14 +7,12 @@ from the Faddeev-LeVerrier recurrence, rooted with Durand-Kerner.
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from saddlekit.linalg import (
     DEFAULT_ONE_TOL,
     LinAlgFailure,
     NotPositiveDefinite,
-    cholesky,
     eigenvalues,
     null_basis,
     numerical_rank,
@@ -108,30 +106,9 @@ class TestSvdPinv:
             pinv(np.eye(2), rank_tol=0.0)
 
 
-class TestCholeskyTriangular:
-    def test_cholesky_spd(self, rng):
-        G = rng.standard_normal((5, 5))
-        A = G @ G.T + 5 * np.eye(5)
-        L = cholesky(A)
-        assert np.allclose(L @ L.T, A)
-
-    def test_cholesky_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.diag([1.0, -1.0]))
-
-    def test_cholesky_asymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 # max|A - A^T| against 1e-12 max|A|: the relative gaps just inside and just outside
 @pytest.mark.parametrize("gap, symmetric", [(0.5e-12, True), (2e-12, False)])
-@pytest.mark.parametrize("kernel", [
-    cholesky,
-    lambda A: cholesky(sps.csr_array(A)),
-    sym_sqrt,
-    sym_inv_sqrt,
-], ids=["cholesky", "cholesky-sparse", "sym_sqrt", "sym_inv_sqrt"])
+@pytest.mark.parametrize("kernel", [sym_sqrt, sym_inv_sqrt], ids=["sym_sqrt", "sym_inv_sqrt"])
 def test_one_symmetry_rule(kernel, gap, symmetric):
     A = np.array([[4.0, 1.0], [1.0 + 4.0 * gap, 3.0]])
     if symmetric:

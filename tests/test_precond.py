@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dtrtrs
 
 from saddlekit import (
     BLOCK_DIAG,
@@ -25,7 +24,7 @@ from saddlekit import (
 )
 from saddlekit import LinAlgFailure, omega_sweep, precond
 from saddlekit.analysis import pd_bound
-from saddlekit.linalg import cholesky, pinv
+from saddlekit.linalg import pinv
 from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from saddlekit.solvers import INFEASIBLE
 from saddlekit.problems import skew_part, symmetric_part
@@ -201,100 +200,6 @@ def test_apply_rejects_wrong_length():
         apply_pseudo_inverse(pc, np.zeros(s.n))
 
 
-@pytest.mark.parametrize("kind,omega", [("symmetric_scaled", 0.7), ("triangular_split", 0.05),
-                                        ("triangular_split", 0.5), ("custom", None)])
-def test_p_solves_bit_identical_to_scipy_wrappers(oseen_8, kind, omega):
-    # the direct LAPACK calls against the scipy.linalg calls they replace
-    import scipy.linalg as sla
-
-    s = oseen_8
-    W = s.W.toarray()
-    H, S = symmetric_part(W).toarray(), skew_part(W).toarray()
-    if kind == "symmetric_scaled":
-        L = np.asfortranarray(cholesky(omega * H))
-        solve = solve_t = lambda x: sla.cho_solve((L, True), x)
-        choice = PChoice(kind=kind, omega=omega)
-    elif kind == "triangular_split":
-        Fl, Fu = np.eye(s.n) + omega * np.tril(S, -1), np.eye(s.n) + omega * np.triu(S, 1)
-
-        def solve(x):
-            return omega * sla.solve_triangular(Fu, sla.solve_triangular(Fl, x, lower=True))
-
-        def solve_t(x):
-            return omega * sla.solve_triangular(Fl.T, sla.solve_triangular(Fu.T, x, lower=True))
-
-        choice = PChoice(kind=kind, omega=omega)
-    else:
-        P = W + np.eye(s.n)
-        lu = sla.lu_factor(P)
-        solve = lambda x: sla.lu_solve(lu, x)
-        solve_t = lambda x: sla.lu_solve(lu, x, trans=1)
-        choice = PChoice(kind=kind, custom_p=P)
-    pc = build(s, BLOCK_TRI, choice, enforce_pd=False)
-    g = np.random.default_rng(5)
-    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
-        for got, want in ((pc.p_solve(x), solve(x)), (pc.p_solve_t(x), solve_t(x))):
-            assert got.shape == x.shape
-            assert got.tobytes() == want.tobytes()
-
-
-def _two_array_solves(system, omega):
-    """P^{-1} and P^{-T} through separately formed Fl and Fu (the reference)."""
-    S = skew_part(system.W).toarray()
-    I = np.eye(system.n)
-    Fl, Fu = I + omega * np.tril(S, -1), I + omega * np.triu(S, 1)
-
-    def tri(F, x, lower, trans):
-        y, info = dtrtrs(F, x, lower=lower, trans=trans)
-        assert info == 0
-        return y
-
-    def solve(x):
-        return omega * tri(Fu.T, tri(Fl.T, x, 0, 1), 1, 1)
-
-    def solve_t(x):
-        return omega * tri(Fl.T, tri(Fu.T, x, 1, 0), 0, 0)
-
-    return solve, solve_t
-
-
-@pytest.mark.parametrize("system", [
-    *[pytest.param((l, nu, omega), id=f"oseen{l}-{nu}-{omega}")
-      for l in (8, 16) for nu in (0.1, 0.001) for omega in (0.05, 0.5)],
-    pytest.param(("random", 0.3), id="random"),
-])
-def test_one_factor_array_matches_two(system):
-    # F = I + omega S holds Fl and Fu in its two triangles; the solves must not move a bit
-    if system[0] == "random":
-        s, omega = build_random_singular(n=30, m=12, rank_b=10, seed=4), system[1]
-    else:
-        l, nu, omega = system
-        s = build_oseen(l, nu)
-    pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
-    solve, solve_t = _two_array_solves(s, omega)
-    g = np.random.default_rng(9)
-    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
-        assert pc.p_solve(x).tobytes() == solve(x).tobytes()
-        assert pc.p_solve_t(x).tobytes() == solve_t(x).tobytes()
-
-
-def test_triangular_build_keeps_one_square_array():
-    s = build_oseen(16, 0.001)
-    square = 8 * s.n * s.n
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=0.05))
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    own = pc.dense_B.nbytes
-    # one n x n array (F) beyond B, with room for small objects
-    assert kept - base - own <= square + 64 * 1024
-    # the highest point is the PD gate's SVD of L_s, before F exists
-    assert peak - base - own <= 2.5 * square
-
-
 @pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
 def test_constraint_build_holds_no_square_array(kind, omega):
     s = build_oseen(16, 0.001)
@@ -307,7 +212,6 @@ def test_constraint_build_holds_no_square_array(kind, omega):
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
     assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
-    assert pc.dense_B is None
     # the sparse LU of the pinned M is a small fraction of one dense n x n array
     assert kept - base <= 0.25 * 8 * s.n * s.n
 
@@ -333,24 +237,6 @@ def test_indefinite_h_rejected():
             build(bad, family, PChoice(kind="symmetric_scaled"))
 
 
-def _six_builds(s):
-    # cases I-VI: the three families x both P kinds, at omegas inside each P's range
-    return [build(s, family, PChoice(kind=kind, omega=0.5 if kind == SYMMETRIC_SCALED else 0.05),
-                  enforce_pd=False)
-            for family in FAMILIES for kind in (SYMMETRIC_SCALED, TRIANGULAR_SPLIT)]
-
-
-def test_block_tri_keeps_its_own_dense_b():
-    # the block-triangular applies read a dense B; the other families keep none
-    s = build_oseen(16, 0.001)
-    pcs = _six_builds(s)
-    want = s.B.toarray().tobytes()
-    kept = [pc.dense_B for pc in pcs if pc.family == BLOCK_TRI]
-    assert len(kept) == 2 and all(B.tobytes() == want for B in kept)
-    assert all(pc.dense_B is None for pc in pcs if pc.family != BLOCK_TRI)
-    assert all(pc.B is s.B for pc in pcs)  # the system's own CSR B, for assemble
-
-
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_no_family_keeps_e(family, kind):
@@ -361,6 +247,7 @@ def test_no_family_keeps_e(family, kind):
     assert all(a.shape != (s.m, s.m) for a in arrays)
     # both singular families keep the pinned LU of M, the block-diagonal one for E^+
     assert (pc.M_lu is not None) == (family != BLOCK_TRI)
+    assert pc.B is s.B  # the system's own CSR B, for the applies and assemble
 
 
 # sha256 of assemble's (2,2) block E = B P^{-1} B^T on build_oseen(8, nu) with
@@ -412,22 +299,6 @@ def test_assemble_matches_inline_blocks(family, kind):
     assert assemble(pc).tobytes() == M.tobytes()
 
 
-def test_six_builds_keep_two_dense_b():
-    s = build_oseen(16, 0.001)
-    size = 8 * s.m * s.n
-    tracemalloc.start()
-    try:
-        pcs = _six_builds(s)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    # an m x n buffer alive after the builds can only be a block-triangular
-    # pc's B: the other families make no dense B
-    alive = [t for t in snapshot.traces if t.size == size]
-    assert len(alive) == 2
-    assert pcs[-2].dense_B is not pcs[-1].dense_B
-
-
 @pytest.mark.parametrize("system", [
     *[pytest.param(("random", d), id=f"random-null{d}") for d in (1, 2, 3)],
     *[pytest.param(("oseen", nu), id=f"oseen8-{nu}") for nu in (0.1, 0.001)],
@@ -469,30 +340,16 @@ def test_case_ii_at_l32_is_exact():
             / norms).max() <= 1e-8
 
 
-def test_constraint_build_takes_no_dense_cholesky(monkeypatch):
-    s = build_oseen(8, 0.1)
-    calls = []
-    real = precond.cholesky
-    monkeypatch.setattr(precond, "cholesky", lambda A: calls.append(A.shape) or real(A))
-    for omega in (0.5, 1.0, 2.0):
-        build(s, CONSTRAINT, PChoice(kind=SYMMETRIC_SCALED, omega=omega))
-    assert calls == []  # the SPD check on H is a sparse LU
-    # the block-diagonal family factors omega H sparse as well
-    build(s, BLOCK_DIAG, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
-    assert calls == []
-    # the block-triangular family keeps a dense Cholesky factor of omega H
-    build(s, BLOCK_TRI, PChoice(kind=SYMMETRIC_SCALED, omega=1.0))
-    assert calls == [(s.n, s.n)]
-
-
 def _h_spd_verdicts(W) -> tuple[bool, bool]:
     """Whether H = sym(W) passes check_h_spd, and whether it passes the dense
     Cholesky (the oracle)."""
     verdicts = []
-    for check, arg in ((precond.check_h_spd, W), (cholesky, symmetric_part(W).toarray())):
+    for check, arg, error in ((precond.check_h_spd, W, NotPositiveDefinite),
+                              (np.linalg.cholesky, symmetric_part(W).toarray(),
+                               np.linalg.LinAlgError)):
         try:
             check(arg)
-        except NotPositiveDefinite:
+        except error:
             verdicts.append(False)
         else:
             verdicts.append(True)
@@ -562,7 +419,8 @@ def test_singular_factor_is_an_infeasible_sweep_point(family):
 
 
 @pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
-def test_block_diag_build_holds_no_square_array(kind, omega):
+@pytest.mark.parametrize("family", [BLOCK_DIAG, BLOCK_TRI])
+def test_block_diag_build_holds_no_square_array(family, kind, omega):
     # tracemalloc does not see SuperLU's own mallocs: the sparse LUs of P and
     # of the pinned M are outside both figures
     s = build_oseen(16, 0.001)
@@ -570,15 +428,15 @@ def test_block_diag_build_holds_no_square_array(kind, omega):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega), enforce_pd=False)
+        pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
-    assert max(a.size for a in arrays) <= s.m  # N and the pinned rows only
-    assert pc.dense_B is None
-    # N, with room for small objects
-    assert kept - base <= pc.N.nbytes + 64 * 1024
+    assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
+    # N, with room for small objects: no dense B (m x n) is kept, not even
+    # inside the P-solves
+    assert kept - base <= sum(a.nbytes for a in arrays) + 64 * 1024
     assert peak - base < square
 
 
@@ -592,19 +450,22 @@ def _block_diag_cases():
 
 @pytest.mark.parametrize("system", list(_block_diag_cases()))
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
-def test_block_diag_p_solves_and_e_match_dense(system, kind):
+@pytest.mark.parametrize("family", [BLOCK_DIAG, BLOCK_TRI])
+def test_block_diag_p_solves_and_e_match_dense(system, kind, family):
     if system[0] == "random":
         s = build_random_singular(n=30, m=12, rank_b=10, seed=system[1])
     else:
         s = build_oseen(system[1], system[2])
     omega = 0.5 * pd_bound(s.W) if kind == TRIANGULAR_SPLIT else 1.0
-    pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega))
+    pc = build(s, family, PChoice(kind=kind, omega=omega))
     P, B = pc.P, s.B.toarray()
     X = np.random.default_rng(3).standard_normal((s.n, 3))
-    for got, want in ((pc.p_solve(X), np.linalg.solve(P, X)),
-                      (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
-                      (pc.p_solve_t(X), np.linalg.solve(P.T, X)),
-                      (assemble(pc)[s.n:, s.n:], B @ np.linalg.solve(P, B.T))):
+    pairs = [(pc.p_solve(X), np.linalg.solve(P, X)),
+             (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
+             (pc.p_solve_t(X), np.linalg.solve(P.T, X))]
+    if family == BLOCK_DIAG:
+        pairs.append((assemble(pc)[s.n:, s.n:], B @ np.linalg.solve(P, B.T)))
+    for got, want in pairs:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -18,7 +18,6 @@ from saddlekit import (
 from saddlekit.linalg import numerical_rank
 from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, saddle_null_basis,
                                 skew_part, symmetric_part, wind_x, wind_y)
-from saddlekit.solvers import _Run
 
 
 class TestWind:
@@ -99,15 +98,15 @@ class TestOseen:
         assert np.all(s.W.toarray()[n_u:, :n_u] == 0.0)
 
     @pytest.mark.parametrize("l, nu, digest", [
-        (4, 0.1, "3ad7ce4ac0846b4afc31bb13208823fc6d02dd7cc7533b74d8adfbeb7a4aaa1a"),
-        (4, 0.001, "dbd7d387f092d3db44459705a4567fe58f200bce8b16197b69ecd8697322dc04"),
-        (8, 0.1, "9b5d65e3c86135e137fec8f5c691bd2d49391764c44f6a1cb0ad1abda97e93cb"),
-        (8, 0.001, "38ec734a84d5245104c46a3faf463ffe408a8c46bb852c281cfb218609d30486"),
-        (16, 0.1, "ba5880c31b3ab9371ae1f9d69b987b273e962a07a0fad99cc167df87af075355"),
-        (16, 0.001, "de5ec51b2b6b014f88e6413e72a1ab7729151d41da6a948556301672521fdafd"),
+        (4, 0.1, "365544ff27249a595da42d45d4833394a5719b1fddea74d3f8d20b9cf5997098"),
+        (4, 0.001, "f01dbc1d478d6569983be8d06f58d921fc891c0b9fa6322f1608ec6880a1affd"),
+        (8, 0.1, "99ec32233140c4a85b17355f002d98b596feb7e134613f92f7f717923086eb8f"),
+        (8, 0.001, "f165591433243976779df8775cdc1dce0693431f87f234595688e4beaa1e6bef"),
+        (16, 0.1, "88451622d5069a08a47c96e17567649b208cfe9744b78287d8dd6c2884cf1727"),
+        (16, 0.001, "268d02f975cf41458076cc53bb9faa0d954d0d100de16311d6056be4dbd8804f"),
         # h = 1/7 is inexact, so this grid also pins the accumulation order
-        (7, 0.1, "f960d7268682bd0c27de08885ebe7a476c6e3ad6ad5c9b26cd2edb2a8efa5c33"),
-        (7, 0.001, "e35b089dfbbdfa1a80668640aeb68c6782bcccc42956b33a9f56c435c61555ff"),
+        (7, 0.1, "a1f5a5b75c11367b60ad3bb844b03ccc6148cad563d7079d331591ac781de043"),
+        (7, 0.001, "aaa0678cfaef16dd35eb439ba40efde5ff097915ec797efe020da09be0f70efa"),
     ])
     def test_discretization_fingerprint(self, l, nu, digest):
         # pins the stencil to the bit: sha256 of W, B, rhs() as float64 C-order
@@ -137,7 +136,7 @@ def test_make_consistent_rhs_modes():
     s = build_random_singular(n=6, m=3, rank_b=2, seed=1)
     b1 = make_consistent_rhs(s, seed=5)
     x_star = np.random.default_rng(5).standard_normal(s.n + s.m)
-    assert np.array_equal(b1, s.matrix().toarray() @ x_star)
+    assert np.array_equal(b1, s.matrix() @ x_star)
 
 
 def test_export_roundtrip(tmp_path):
@@ -291,33 +290,29 @@ def _blockwise(s):
 
 @pytest.mark.parametrize("nu", [0.1, 0.001])
 def test_matrix_bytes_match_blockwise_fill(nu):
-    # the solver's dense copy of the CSR matrix(); its (2,1) zeros are +0.0
+    # the CSR matrix() holds the blockwise fill; its (2,1) zeros are +0.0
     for s in (build_oseen(8, nu), build_random_singular(n=10, m=5, rank_b=4, seed=3)):
         A = s.matrix()
         assert isinstance(A, sps.csr_array)
-        dense = _Run(s, None, None, "").A
-        ref = _blockwise(s)
+        dense, ref = A.toarray(), _blockwise(s)
         assert np.array_equal(dense, ref)
         n = s.n
         ref[n:, :n] += 0.0  # -0.0 + 0.0 = +0.0
         assert dense.tobytes() == ref.tobytes()
-        # the sign of a zero does not reach A @ x
-        x = np.random.default_rng(1).standard_normal(s.n + s.m)
-        assert (dense @ x).tobytes() == (_blockwise(s) @ x).tobytes()
 
 
-# sha256 of rhs() at the bits of the dense b = A x* (the manufactured mode)
+# sha256 of rhs(), the manufactured b = A x* from the CSR A
 RHS_DIGESTS = [
-    (4, 0.1, "cc7ee1d31afdc93fb61a9210b74e2d93e1eaadcb5abc9d0b9036bc43d57e6d99"),
-    (4, 0.001, "4201efff2016d2580e4e2a10a1b32f30b725c6093b3959896018011986c1e902"),
-    (5, 0.1, "29af09e5baddcb3b88e98e8732d932fd39d2a2bf8bf85fc61d1e1c979ef545c8"),
-    (5, 0.001, "1bbc0eda6d45cd3913059b9365ff78a7aa5d9f7e255363d271a988303c9bf1ce"),
-    (8, 0.1, "ad3fb3c50f7b4b5a0497a7327eee72fc173f24bb7714b9a6b5f6e7150927505c"),
-    (8, 0.001, "ada143a4955e8dcad4f490cfed32ee9be0b82b33a7b32b084f61c3462e126f58"),
-    (16, 0.1, "2ad9341a112dc721cccf2f27ddb783ab0e46b1c6928ed2d3f97ed5de2a7d7cb9"),
-    (16, 0.001, "7e1affbf5e12362f724a647c5f5b3252f2a709f6325989c941816073d6ada684"),
-    (32, 0.1, "47350f3f5195a1a502e88fab65caae553c72bc1c1a82bd0e13efd58d6dc8e489"),
-    (32, 0.001, "da720e975515c05b24820655f8f4b3a51a34077bea29a18136a3712196bc7b64"),
+    (4, 0.1, "3c83bc1ef6b4f8ecf73c146c3d0361a70c7e1645695200a839bafff1fa5c4789"),
+    (4, 0.001, "ea1efdc3660a145c09b072ac6ca1ee7814ef030424d33f3ae124f400cfa8fe64"),
+    (5, 0.1, "63237b5da55ac42b7b76c369013c046c8a5eb72466fba3602479c2852c0c12e2"),
+    (5, 0.001, "71ac1fdf38ca43c15fb692d73185fffee61f9a26377b43bdc76cdc3a0831682f"),
+    (8, 0.1, "76b8d4a19624567436c27e1566f0bfb13b91508a46827209b067d0878d657957"),
+    (8, 0.001, "ca65e23320c4883e27a039fd5ffc026e145ba01566e9887c530e602fcfd77566"),
+    (16, 0.1, "5ab90ff228b4abc0146824e2a5a98257d034c347378ecd1347602500dc0fa4cf"),
+    (16, 0.001, "9b90f0fc65a959cca86f9b23100c4772a74ffd7bdf98449cfa90c9d74a34a33d"),
+    (32, 0.1, "89b66b6ec50d58726d6ddbc2b95d4d2d7e87b6e4d586a4e7713c0a6736402484"),
+    (32, 0.001, "849b90de38b0746f2951b4e1de1ee95f2612d4a4bcafdf66648f1bbef5e1487e"),
 ]
 
 
@@ -335,4 +330,4 @@ def test_manufactured_rhs_forms_no_dense_a():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.05 * 8 * N * N  # 64-row blocks, not the 72 MB dense A
+    assert peak < 0.05 * 8 * N * N  # the CSR A, not the 72 MB dense A
