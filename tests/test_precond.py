@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dtrtrs
 
 from saddlekit import (
     BLOCK_DIAG,
@@ -198,6 +200,107 @@ def test_apply_rejects_wrong_length():
     pc = build(s, CONSTRAINT, PChoice())
     with pytest.raises(ValueError):
         apply_pseudo_inverse(pc, np.zeros(s.n))
+
+
+def _backward_error(A, y, x):
+    """||A y - x|| / (||A||_2 ||y||): small for a stable solve of A y = x,
+    however ill-conditioned A is."""
+    return np.linalg.norm(A @ y - x) / (np.linalg.norm(A, 2) * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("kind,omega", [("symmetric_scaled", 0.7), ("triangular_split", 0.05),
+                                        ("triangular_split", 0.5), ("custom", None)])
+def test_block_families_share_one_p_solve(oseen_8, kind, omega):
+    # both block families apply P^{-1} and P^{-T} through the same sparse LU,
+    # a stable solve with P formed densely from its definition
+    s = oseen_8
+    W = s.W.toarray()
+    I = np.eye(s.n)
+    if kind == "symmetric_scaled":
+        P = omega * symmetric_part(W).toarray()
+        choice = PChoice(kind=kind, omega=omega)
+    elif kind == "triangular_split":
+        S = skew_part(W).toarray()
+        P = (I + omega * np.tril(S, -1)) @ (I + omega * np.triu(S, 1)) / omega
+        choice = PChoice(kind=kind, omega=omega)
+    else:
+        P = W + I
+        choice = PChoice(kind=kind, custom_p=P)
+    tri = build(s, BLOCK_TRI, choice, enforce_pd=False)
+    diag = build(s, BLOCK_DIAG, choice, enforce_pd=False)
+    g = np.random.default_rng(5)
+    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
+        for got, same, A in ((tri.p_solve(x), diag.p_solve(x), P),
+                             (tri.p_solve_t(x), diag.p_solve_t(x), P.T)):
+            assert got.shape == x.shape
+            assert got.tobytes() == same.tobytes()
+            assert _backward_error(A, got, x) <= 1e-14
+
+
+def _two_factor_solves(system, omega):
+    """P = Fl Fu / omega with Fl = I + omega L_s, Fu = I + omega U_s, and
+    P^{-1}, P^{-T} through two triangular solves (the reference)."""
+    S = skew_part(system.W).toarray()
+    I = np.eye(system.n)
+    Fl, Fu = I + omega * np.tril(S, -1), I + omega * np.triu(S, 1)
+
+    def tri(F, x, lower, trans):
+        y, info = dtrtrs(F, x, lower=lower, trans=trans)
+        assert info == 0
+        return y
+
+    def solve(x):
+        return omega * tri(Fu, tri(Fl, x, 1, 0), 0, 0)
+
+    def solve_t(x):
+        return omega * tri(Fl, tri(Fu, x, 0, 1), 1, 1)
+
+    return Fl @ Fu / omega, solve, solve_t
+
+
+@pytest.mark.parametrize("system", [
+    *[pytest.param((l, nu, omega), id=f"oseen{l}-{nu}-{omega}")
+      for l in (8, 16) for nu in (0.1, 0.001) for omega in (0.05, 0.5)],
+    pytest.param(("random", 0.3), id="random"),
+])
+def test_expanded_p_matches_two_triangular_factors(system):
+    # the sparse P = S + I/omega + omega L_s U_s is the paper's product of two
+    # triangular factors, and its one LU solves like the two factors
+    if system[0] == "random":
+        s, omega = build_random_singular(n=30, m=12, rank_b=10, seed=4), system[1]
+    else:
+        l, nu, omega = system
+        s = build_oseen(l, nu)
+    pc = build(s, BLOCK_TRI, PChoice(kind="triangular_split", omega=omega), enforce_pd=False)
+    P, solve, solve_t = _two_factor_solves(s, omega)
+    assert np.linalg.norm(pc.P - P) <= 1e-15 * np.linalg.norm(P)
+    g = np.random.default_rng(9)
+    for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
+        for got, want, A in ((pc.p_solve(x), solve(x), P), (pc.p_solve_t(x), solve_t(x), P.T)):
+            assert _backward_error(A, got, x) <= 1e-14
+            # inside the PD bound P is well conditioned: the solves agree too;
+            # beyond it (cond(P) reaches 1e17 at l=16) only the backward error holds
+            if omega < pd_bound(s.W):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_no_build_takes_a_dense_factor(monkeypatch):
+    # every family factors P, H and the pinned M sparse, and applies through them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense factorization on the build or apply path")
+
+    for module, name in ((np.linalg, "cholesky"), (sla, "cholesky"), (sla, "cho_factor"),
+                         (sla, "lu_factor"), (sla, "lu")):
+        monkeypatch.setattr(module, name, refuse)
+    s = build_oseen(8, 0.1)
+    r = np.random.default_rng(2).standard_normal(s.n + s.m)
+    choices = [PChoice(kind=SYMMETRIC_SCALED, omega=0.5), PChoice(kind=TRIANGULAR_SPLIT, omega=0.05),
+               PChoice(kind="custom", custom_p=s.W.toarray() + np.eye(s.n))]
+    for family in FAMILIES:
+        for choice in choices:
+            pc = build(s, family, choice)
+            apply_pseudo_inverse(pc, r)
+            apply_pseudo_inverse_transpose(pc, r)
 
 
 @pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
