@@ -11,7 +11,8 @@ Three families share the same (1,1) block P:
   pinned LU of M; E itself is formed only by :func:`assemble`.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
   application is an exact back-substitution solve through one sparse LU
-  of P and the system's CSR B.
+  of P, the system's CSR B and a CSR B^T formed once at build (a product
+  with the view ``B.T`` builds a new CSC array on every call).
 
 No family keeps a dense factor, a dense B or an n x n array.
 
@@ -79,7 +80,8 @@ class Preconditioner:
       basis N of null(B^T) and the pinned rows; no factor of P;
     * block-diagonal: one sparse LU of P (its P-solves) and the constraint
       family's pinned LU of M with N and the pinned rows (its E^+);
-    * block-triangular: one sparse LU of P (its P-solves) and h^2/nu.
+    * block-triangular: one sparse LU of P (its P-solves), h^2/nu and
+      ``BT``, the CSR B^T formed once at build for the back-substitution.
 
     None keeps E, a dense factor, a dense B or an n x n array.  ``B`` is the
     system's own CSR B, read by the block-triangular back-substitution and
@@ -88,7 +90,7 @@ class Preconditioner:
     """
 
     def __init__(self, family, p_choice, make_p, B, p_solves=(_no_p_factor, _no_p_factor),
-                 N=None, M_lu=None, pinned=None, h_sq_over_nu=None):
+                 N=None, M_lu=None, pinned=None, h_sq_over_nu=None, BT=None):
         self.family = family
         self.p_choice = p_choice
         self._make_p = make_p
@@ -98,6 +100,7 @@ class Preconditioner:
         self.M_lu = M_lu
         self.pinned = pinned
         self.h_sq_over_nu = h_sq_over_nu
+        self.BT = BT
         self.m, self.n = B.shape
 
     @property
@@ -227,9 +230,9 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
     r = (0; r2), M y = Pi r gives u = -P^{-1} B^T p and E p = (I - N N^T) r2
     with E = B P^{-1} B^T, and the minimum-norm y has p orthogonal to N, so
     p = E^+ r2 (the "T" solve gives (E^+)^T r2).  The block-triangular
-    family keeps one sparse LU of P for P^{-1} and P^{-T} too; its (2,2)
-    block is h^2/nu times I, from the system's grid metadata, or I for a
-    system without it.
+    family keeps one sparse LU of P for P^{-1} and P^{-T} too, and one CSR
+    B^T for its back-substitution; its (2,2) block is h^2/nu times I, from
+    the system's grid metadata, or I for a system without it.
 
     A factor that is exactly singular raises LinAlgFailure; a P with
     non-finite entries, or a P^{-1} that overflows on a probe solve, raises
@@ -258,8 +261,10 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
             h_sq_over_nu = system.h**2 / system.nu
         else:
             h_sq_over_nu = 1.0
+        # CSR B^T gives the same bits as the CSC view B.T: both add each
+        # output entry's terms in ascending column order
         return Preconditioner(family, p_choice, make_p, system.B, p_solves,
-                              h_sq_over_nu=h_sq_over_nu)
+                              h_sq_over_nu=h_sq_over_nu, BT=system.B.T.tocsr())
     N = null_basis_BT(system)
     pinned = _pinned_rows(N)
     M_lu = _pinned_lu(_constraint_matrix(P, system.B), system.n + pinned)
@@ -309,7 +314,7 @@ def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:
         return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, "N")])
     # block_tri: exact solve by back-substitution
     y2 = r2 / pc.h_sq_over_nu
-    y1 = pc.p_solve(r1 - pc.B.T @ y2)
+    y1 = pc.p_solve(r1 - pc.BT @ y2)
     return np.concatenate([y1, y2])
 
 
@@ -337,7 +342,7 @@ def assemble(pc: Preconditioner) -> Array:
         blocks = pc._make_p().tocoo()
         M[n:, n:] = _schur_complement(pc.B, pc.p_solve)
     else:
-        blocks = sps.block_array([[pc._make_p(), pc.B.T],
+        blocks = sps.block_array([[pc._make_p(), pc.BT],
                                   [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="coo")
     M[blocks.row, blocks.col] = blocks.data
     return M

@@ -71,7 +71,7 @@ class _Run:
     applying the divergence cap) and writes the report for each way a run
     ends, so a solver's loop only makes its next iterate from x = 0 until
     ``done``.  A is the system's CSR ``matrix()``, read by every product
-    with A (and by QMR's A^T products).
+    with A; QMR forms one CSR A^T from it per solve for its A^T products.
     """
 
     def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
@@ -204,17 +204,22 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     """Coupled two-term QMR without look-ahead on the left-preconditioned operator.
 
     Shadow vector initialized to the initial preconditioned residual;
-    Lanczos breakdowns are reported, not repaired.
+    Lanczos breakdowns are reported, not repaired.  An initial preconditioned
+    residual that is not finite ends the run ``diverged`` at 0 steps, as in
+    GMRES.
     """
     run = _Run(system, pc, cfg, case_label)
     A = run.A
+    # one CSR A^T per solve: a product with the view A.T builds a new CSC
+    # array on every call, and both add each entry's terms in the same order
+    A_t = A.T.tocsr()
     m_apply, m_apply_t = _precondition(pc)
 
     def op(v):
         return m_apply(A @ v)
 
     def op_t(v):
-        return A.T @ m_apply_t(v)
+        return A_t @ m_apply_t(v)
 
     x = np.zeros_like(run.b)
     r = run.residual(x, 0)
@@ -222,7 +227,10 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         return run.end(0, x)
     # no vector below is updated in place, so v_t and w_t can share one array
     v_t = w_t = m_apply(r)
-    rho = xi = float(np.linalg.norm(v_t))
+    with np.errstate(over="ignore"):
+        rho = xi = float(np.linalg.norm(v_t))
+    if not np.isfinite(rho):
+        return run.end(0, status=DIVERGED)
     tiny = 1e-14 * max(rho, 1.0)
     gamma_prev = 1.0
     eta_prev = -1.0

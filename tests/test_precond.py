@@ -186,6 +186,25 @@ def test_block_tri_scalar_from_metadata():
     assert pc.h_sq_over_nu == pytest.approx(s.h**2 / s.nu)
 
 
+@pytest.mark.parametrize("l,nu", [(8, 0.1), (8, 0.001), (16, 0.1), (16, 0.001),
+                                  (32, 0.1), (32, 0.001), (None, None)])
+@pytest.mark.parametrize("kind,omega", [(SYMMETRIC_SCALED, 0.5), (TRIANGULAR_SPLIT, 0.05)])
+def test_block_tri_stored_bt_keeps_every_bit(l, nu, kind, omega):
+    # the stored CSR B^T and the CSC view B.T add each output entry's terms
+    # in ascending column order from 0, so the back-substitution keeps the
+    # bits the view gave
+    s = build_oseen(l, nu) if l else saddle(7)
+    pc = build(s, BLOCK_TRI, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    assert pc.BT.format == "csr" and pc.BT.has_sorted_indices
+    assert pc.BT.shape == (s.n, s.m) and pc.BT.nnz == s.B.nnz
+    assert np.array_equal(pc.BT.toarray(), s.B.T.toarray())
+    g = np.random.default_rng(l or 0)
+    for r in (g.standard_normal(s.n + s.m), g.standard_normal((s.n + s.m, 3))):
+        r1, y2 = r[:s.n], r[s.n:] / pc.h_sq_over_nu
+        expected = np.concatenate([pc.p_solve(r1 - pc.B.T @ y2), y2])
+        assert np.array_equal(apply_pseudo_inverse(pc, r), expected)
+
+
 def test_constraint_singularity_matches_b():
     s = saddle(11)
     pc = build(s, CONSTRAINT, PChoice())
@@ -351,6 +370,7 @@ def test_no_family_keeps_e(family, kind):
     # both singular families keep the pinned LU of M, the block-diagonal one for E^+
     assert (pc.M_lu is not None) == (family != BLOCK_TRI)
     assert pc.B is s.B  # the system's own CSR B, for the applies and assemble
+    assert (pc.BT is not None) == (family == BLOCK_TRI)  # its back-substitution's B^T
 
 
 # sha256 of assemble's (2,2) block E = B P^{-1} B^T on build_oseen(8, nu) with

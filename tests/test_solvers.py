@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
@@ -208,6 +209,75 @@ def test_gmres_overflow_is_divergence():
                enforce_pd=False)
     report = solve_with("gmres", s, pc)
     assert report.status == DIVERGED and report.iterations == 0
+
+
+# (case, omega) on build_oseen(8, nu), both nu, where M^+ b is not finite:
+# QMR raised ValueError on these before it checked its first preconditioned
+# residual, and ended `breakdown` on 54 other points of the same scan whose
+# ||M^+ b|| overflowed
+QMR_NON_FINITE_START = [("I", 1e300), ("II", 1e300), ("II", 1e-300), ("III", 1e300),
+                        ("IV", 1e-300)]
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+@pytest.mark.parametrize("case,omega", QMR_NON_FINITE_START)
+def test_qmr_non_finite_start_is_divergence(nu, case, omega):
+    s = build_oseen(8, nu)
+    family, kind = CASE_MAP[case]
+    pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    for solver in ("qmr", "gmres"):
+        report = solve_with(solver, s, pc, SolveConfig(max_iters=200))
+        assert (report.status, report.iterations, report.x) == (DIVERGED, 0, None)
+
+
+@pytest.mark.parametrize("case,omega", [("I", 1.0), ("V", 1.0), ("VI", 0.34)])
+def test_qmr_stored_transpose_matches_view(monkeypatch, case, omega):
+    # QMR's one CSR A^T gives the bits the view A.T gave: with tocsr on the
+    # view patched to hand the view back, the run reads the same to the bit
+    s = build_oseen(8, 0.001)
+    family, kind = CASE_MAP[case]
+    pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    cfg = SolveConfig(max_iters=200)
+    stored = qmr(s, pc, cfg)
+    kept_views = []
+
+    def keep_view(self, copy=False):
+        kept_views.append(self.shape)
+        return self
+
+    monkeypatch.setattr(sps.csc_array, "tocsr", keep_view)
+    viewed = qmr(s, pc, cfg)
+    assert kept_views == [(s.n + s.m, s.n + s.m)]
+    assert (viewed.status, viewed.iterations) == (stored.status, stored.iterations)
+    assert stored.iterations > 10
+    assert np.array_equal(viewed.residual_history, stored.residual_history)
+    assert np.array_equal(viewed.x, stored.x)
+
+
+@pytest.mark.parametrize("solver", ["gmres", "qmr"])
+@pytest.mark.parametrize("case,omega", [("V", 1.0), ("VI", 0.1)])
+def test_no_sparse_array_built_per_step(monkeypatch, solver, case, omega):
+    # every sparse array a solve needs (A; QMR's A^T; the block-triangular
+    # B^T at build) exists before the first step: a product with a
+    # transposed view would build one on every step
+    s = build_oseen(8, 0.001)
+    family, kind = CASE_MAP[case]
+    pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    built = []
+    init = sps._base._spbase.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sps._base._spbase, "__init__", counting_init)
+    counts = []
+    for max_iters in (5, 50):
+        built.clear()
+        report = solve_with(solver, s, pc, SolveConfig(max_iters=max_iters))
+        assert report.iterations == max_iters
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # sha256 of the residual-history bytes (then of x, when the report carries
