@@ -225,8 +225,7 @@ def test_block_diag_at_huge_omega_runs(capsys):
 @pytest.mark.parametrize("case,omega", [("I", "1e300"), ("II", "1e300"), ("II", "1e-300"),
                                         ("III", "1e300"), ("IV", "1e-300")])
 def test_qmr_non_finite_start_exits_diverged(capsys, nu, case, omega):
-    # M^+ b is not finite here: QMR ends diverged at step 0, as GMRES does,
-    # where it once raised ValueError from the next M^+ apply
+    # M^+ b is not finite here: QMR ends diverged at step 0, as GMRES does
     code, out, err = run(capsys, "solve", "--case", case, "-l", "8", "--nu", nu,
                          "--omega", omega, "--solver", "qmr", "--format", "json")
     assert code == EXIT_DIVERGED and err == ""

@@ -211,10 +211,8 @@ def test_gmres_overflow_is_divergence():
     assert report.status == DIVERGED and report.iterations == 0
 
 
-# (case, omega) on build_oseen(8, nu), both nu, where M^+ b is not finite:
-# QMR raised ValueError on these before it checked its first preconditioned
-# residual, and ended `breakdown` on 54 other points of the same scan whose
-# ||M^+ b|| overflowed
+# (case, omega) on build_oseen(8, nu), both nu, where M^+ b has NaN entries:
+# a solver that applies M^+ again to them raises ValueError
 QMR_NON_FINITE_START = [("I", 1e300), ("II", 1e300), ("II", 1e-300), ("III", 1e300),
                         ("IV", 1e-300)]
 
