@@ -10,9 +10,8 @@ desk-scale instances.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -49,11 +48,6 @@ class SpectralReport:
     projector_eig_ones: int | None
     projector_eig_zeros: int | None
     omega_used: float
-
-    def to_json(self, **extra) -> str:
-        payload = asdict(self)
-        payload.update(extra)
-        return json.dumps(payload, indent=2, default=float)
 
 
 def compute_X(system: SaddleSystem, pc: Preconditioner) -> Array:

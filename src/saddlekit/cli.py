@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,19 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or an infinity raises instead of printing."""
+    return json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"
+
+
 def _report_payload(report):
     return {
         "converged": report.converged,
@@ -279,14 +293,10 @@ def _report_payload(report):
 
 def _report_text(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_report_payload(report), indent=2, default=float,
-                          allow_nan=False) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["case", "omega", "iterations", "final_res", "status"])
-    w.writerow([report.case_label, f"{report.omega:g}", report.iterations,
-                f"{report.final_res:.6e}", report.status])
-    return buf.getvalue()
+        return _json_text(_report_payload(report))
+    return _csv_text(["case", "omega", "iterations", "final_res", "status"],
+                     [[report.case_label, f"{report.omega:g}", report.iterations,
+                       f"{report.final_res:.6e}", report.status]])
 
 
 def cmd_gen(args) -> int:
@@ -318,20 +328,14 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
                    "runs": [_report_payload(r) for r in reports]}
-        _emit(json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["omega", "iterations", "final_res", "status"])
-        for r in reports:
-            final = "-" if not np.isfinite(r.final_res) else f"{r.final_res:.6e}"
-            w.writerow([f"{r.omega:g}", r.iterations if r.converged else "-",
-                        final, r.status])
-        if best is not None:
-            buf.write(f"# best_omega={best.omega:g} iterations={best.iterations}\n")
-        else:
-            buf.write("# best_omega=-\n")
-        _emit(buf.getvalue(), args.out)
+        _emit(_json_text(payload), args.out)
+        return EXIT_OK
+    rows = [[f"{r.omega:g}", r.iterations if r.converged else "-",
+             "-" if not np.isfinite(r.final_res) else f"{r.final_res:.6e}", r.status]
+            for r in reports]
+    tail = (f"# best_omega={best.omega:g} iterations={best.iterations}\n"
+            if best is not None else "# best_omega=-\n")
+    _emit(_csv_text(["omega", "iterations", "final_res", "status"], rows) + tail, args.out)
     return EXIT_OK
 
 
@@ -349,12 +353,10 @@ def cmd_analyze(args) -> int:
     if family == BLOCK_TRI:
         payload = {"case": args.case, "omega": args.omega, "note":
                    "nonsingular block-triangular family: the singular-iteration "
-                   "convergence diagnostics target cases I-IV"}
-        payload.update(bounds)
-        _emit(json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n", args.out)
-        return EXIT_OK
-    report = check_lemma4(system, pc)
-    _emit(report.to_json(case=args.case, **bounds) + "\n", args.out)
+                   "convergence diagnostics target cases I-IV", **bounds}
+    else:
+        payload = {**asdict(check_lemma4(system, pc)), "case": args.case, **bounds}
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -393,14 +395,9 @@ def cmd_table(args) -> int:
     if args.l not in (16, 32):
         raise UsageError("published omegas are tabulated for l in {16, 32}")
     cfg = _solve_config(args)
+    header = ["nu", "case", "omega", "iterations", "status"]
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["nu", "case", "omega", "iterations", "status"])
-    for row in rows:
-        w.writerow([row["nu"], row["case"], row["omega"], row["iterations"],
-                    row["status"]])
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), args.out)
     return EXIT_OK
 
 

@@ -67,21 +67,18 @@ class PChoice:
             raise ValueError("custom P kind needs an explicit matrix")
 
 
-def _no_p_factor(x: Array) -> Array:
-    raise ValueError("a constraint preconditioner keeps no factor of P")
-
-
 class Preconditioner:
     """Factorized preconditioner; immutable after :func:`build`.
 
     It keeps what its applies read:
 
-    * constraint: one sparse LU of the pinned M (see :func:`build`) with the
-      basis N of null(B^T) and the pinned rows; no factor of P;
-    * block-diagonal: one sparse LU of P (its P-solves) and the constraint
-      family's pinned LU of M with N and the pinned rows (its E^+);
-    * block-triangular: one sparse LU of P (its P-solves), h^2/nu and
-      ``BT``, the CSR B^T formed once at build for the back-substitution.
+    * constraint: ``M_lu``, one sparse LU of the pinned M (see :func:`build`),
+      with the basis N of null(B^T) and the pinned rows; no factor of P
+      (``P_lu`` is None);
+    * block-diagonal: ``P_lu``, one sparse LU of P (its P-solves), and the
+      constraint family's ``M_lu`` with N and the pinned rows (its E^+);
+    * block-triangular: ``P_lu``, h^2/nu and ``BT``, the CSR B^T formed
+      once at build for the back-substitution.
 
     None keeps E, a dense factor, a dense B or an n x n array.  ``B`` is the
     system's own CSR B, read by the block-triangular back-substitution and
@@ -89,12 +86,12 @@ class Preconditioner:
     it) and never kept.
     """
 
-    def __init__(self, family, p_choice, make_p, B, p_solves=(_no_p_factor, _no_p_factor),
-                 N=None, M_lu=None, pinned=None, h_sq_over_nu=None, BT=None):
+    def __init__(self, family, p_choice, make_p, B, P_lu=None, N=None, M_lu=None,
+                 pinned=None, h_sq_over_nu=None, BT=None):
         self.family = family
         self.p_choice = p_choice
         self._make_p = make_p
-        self._p_solve, self._p_solve_t = p_solves
+        self.P_lu = P_lu
         self.B = B
         self.N = N
         self.M_lu = M_lu
@@ -108,13 +105,12 @@ class Preconditioner:
         """The dense (1,1) block, formed on each read and never kept."""
         return self._make_p().toarray()
 
-    def p_solve(self, x: Array) -> Array:
-        """Apply P^{-1} to a vector or a column block (block families only)."""
-        return self._p_solve(x)
-
-    def p_solve_t(self, x: Array) -> Array:
-        """Apply P^{-T} (block families only)."""
-        return self._p_solve_t(x)
+    def p_solve(self, x: Array, trans: str = "N") -> Array:
+        """Apply P^{-1} (trans="N") or P^{-T} (trans="T") to a vector or a
+        column block (block families only)."""
+        if self.P_lu is None:
+            raise ValueError("a constraint preconditioner keeps no factor of P")
+        return self.P_lu.solve(_finite(x), trans=trans)
 
 
 def _finite(x: Array) -> Array:
@@ -144,18 +140,22 @@ def _p_matrix(W, p_choice: PChoice) -> sps.csr_array:
     return sps.csr_array(np.asarray(p_choice.custom_p, dtype=float))
 
 
-def _p_lu_solves(P: sps.csr_array):
-    """(P^{-1}, P^{-T}) solves from one SuperLU factor of the sparse P."""
-    P = P.tocsc()
-    _finite(P.data)
+def _splu(A: sps.csc_array, what: str):
+    """splu of the CSC A; an exactly singular factor raises LinAlgFailure."""
+    _finite(A.data)
     try:
-        lu = splu(P)
+        return splu(A)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-        raise LinAlgFailure(f"P is singular: {exc}") from exc
+        raise LinAlgFailure(f"{what} is singular: {exc}") from exc
+
+
+def _p_lu(P: sps.csr_array):
+    """One SuperLU factor of the sparse P, for P^{-1} and P^{-T}."""
+    lu = _splu(P.tocsc(), "P")
     # P^{-1} overflows for a finite but huge P (the triangular split at
     # omega = 1e300): one probe solve refuses such an omega at build
     _finite(lu.solve(np.ones(P.shape[0])))
-    return (lambda x: lu.solve(_finite(x)), lambda x: lu.solve(_finite(x), trans="T"))
+    return lu
 
 
 def _schur_complement(B: sps.csr_array, p_solve) -> Array:
@@ -202,11 +202,7 @@ def _pinned_lu(M, pin: Array):
     M_pin = sps.csc_array((np.concatenate([M.data[keep], np.ones(pin.size)]),
                            (np.concatenate([M.row[keep], pin]),
                             np.concatenate([M.col[keep], pin]))), shape=M.shape)
-    _finite(M_pin.data)
-    try:
-        return splu(M_pin)
-    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-        raise LinAlgFailure(f"pinned constraint matrix is singular: {exc}") from exc
+    return _splu(M_pin, "pinned constraint matrix")
 
 
 def _constraint_matrix(P, B) -> sps.coo_array:
@@ -255,7 +251,7 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
         check_h_spd(W)
     make_p = partial(_p_matrix, W, p_choice)
     P = make_p()
-    p_solves = (_no_p_factor, _no_p_factor) if family == CONSTRAINT else _p_lu_solves(P)
+    P_lu = None if family == CONSTRAINT else _p_lu(P)
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
             h_sq_over_nu = system.h**2 / system.nu
@@ -263,12 +259,12 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
             h_sq_over_nu = 1.0
         # CSR B^T gives the same bits as the CSC view B.T: both add each
         # output entry's terms in ascending column order
-        return Preconditioner(family, p_choice, make_p, system.B, p_solves,
+        return Preconditioner(family, p_choice, make_p, system.B, P_lu,
                               h_sq_over_nu=h_sq_over_nu, BT=system.B.T.tocsr())
     N = null_basis_BT(system)
     pinned = _pinned_rows(N)
     M_lu = _pinned_lu(_constraint_matrix(P, system.B), system.n + pinned)
-    return Preconditioner(family, p_choice, make_p, system.B, p_solves, N=N, M_lu=M_lu,
+    return Preconditioner(family, p_choice, make_p, system.B, P_lu, N=N, M_lu=M_lu,
                           pinned=pinned)
 
 
@@ -277,59 +273,48 @@ def _remove_null(x: Array, N: Array) -> None:
     x -= N @ (N.T @ x)
 
 
-def _constraint_solve(pc: Preconditioner, r: Array, trans: str) -> Array:
-    """M^+ r (trans="N") or (M^+)^T r (trans="T") from the pinned LU."""
+def _constraint_solve(pc: Preconditioner, c: Array, trans: str) -> Array:
+    """M^+ c (trans="N") or (M^+)^T c (trans="T") from the pinned LU; c is a
+    fresh vector or column block, overwritten."""
     n = pc.n
-    c = _finite(r).copy()
-    _remove_null(c[n:], pc.N)
+    _remove_null(_finite(c)[n:], pc.N)
     c[n + pc.pinned] = 0.0
     y = pc.M_lu.solve(c, trans=trans)
     _remove_null(y[n:], pc.N)
     return y
 
 
-def _e_pinv(pc: Preconditioner, r2: Array, trans: str) -> Array:
-    """E^+ r2 (trans="N") or (E^+)^T r2 (trans="T"): the pressure part of
-    M^+ (0; r2) or of (M^+)^T (0; r2)."""
-    r = np.zeros((pc.n + pc.m, *r2.shape[1:]))
-    r[pc.n:] = r2
-    return _constraint_solve(pc, r, trans)[pc.n:]
-
-
-def _checked_length(pc: Preconditioner, r: Array) -> Array:
+def _apply(pc: Preconditioner, r: Array, trans: str) -> Array:
+    """M^+ r (trans="N") or (M^+)^T r (trans="T"), for a vector or a block."""
     r = np.asarray(r, dtype=float)
-    if r.shape[0] != pc.n + pc.m:
-        raise ValueError(f"expected length {pc.n + pc.m}, got {r.shape[0]}")
-    return r
+    n = pc.n
+    if r.shape[0] != n + pc.m:
+        raise ValueError(f"expected length {n + pc.m}, got {r.shape[0]}")
+    if pc.family == CONSTRAINT:
+        return _constraint_solve(pc, r.copy(), trans)
+    r1, r2 = r[:n], r[n:]
+    if pc.family == BLOCK_DIAG:
+        # E^+ r2 is the pressure part of M^+ (0; r2), (E^+)^T r2 that of (M^+)^T (0; r2)
+        c = np.zeros((n + pc.m, *r.shape[1:]))
+        c[n:] = r2
+        return np.concatenate([pc.p_solve(r1, trans), _constraint_solve(pc, c, trans)[n:]])
+    if trans == "N":  # block_tri: back-substitution
+        y2 = r2 / pc.h_sq_over_nu
+        y1 = pc.p_solve(r1 - pc.BT @ y2)
+    else:  # forward substitution, in which r2 meets no P-solve that checks it
+        y1 = pc.p_solve(r1, "T")
+        y2 = (_finite(r2) - pc.B @ y1) / pc.h_sq_over_nu
+    return np.concatenate([y1, y2])
 
 
 def apply_pseudo_inverse(pc: Preconditioner, r: Array) -> Array:
     """Apply M^+ (or the exact M_t^{-1}) to a residual vector or block."""
-    r = _checked_length(pc, r)
-    n = pc.n
-    if pc.family == CONSTRAINT:
-        return _constraint_solve(pc, r, "N")
-    r1, r2 = r[:n], r[n:]
-    if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve(r1), _e_pinv(pc, r2, "N")])
-    # block_tri: exact solve by back-substitution
-    y2 = r2 / pc.h_sq_over_nu
-    y1 = pc.p_solve(r1 - pc.BT @ y2)
-    return np.concatenate([y1, y2])
+    return _apply(pc, r, "N")
 
 
 def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
     """Apply (M^+)^T = (M^T)^+, needed by the two-sided Lanczos process."""
-    r = _checked_length(pc, r)
-    n = pc.n
-    if pc.family == CONSTRAINT:
-        return _constraint_solve(pc, r, "T")
-    r1, r2 = r[:n], r[n:]
-    if pc.family == BLOCK_DIAG:
-        return np.concatenate([pc.p_solve_t(r1), _e_pinv(pc, r2, "T")])
-    y1 = pc.p_solve_t(r1)
-    y2 = (r2 - pc.B @ y1) / pc.h_sq_over_nu
-    return np.concatenate([y1, y2])
+    return _apply(pc, r, "T")
 
 
 def assemble(pc: Preconditioner) -> Array:

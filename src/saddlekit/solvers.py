@@ -231,7 +231,11 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         rho = xi = float(np.linalg.norm(v_t))
     if not np.isfinite(rho):
         return run.end(0, status=DIVERGED)
-    tiny = 1e-14 * max(rho, 1.0)
+    # each breakdown test is relative to its own scale: rho and xi to the
+    # first preconditioned residual, delta = w^T v to the unit vectors it
+    # multiplies, epsilon = q^T op(p) to ||q|| ||op(p)||
+    rel = 1e-14
+    tiny = rel * max(rho, 1.0)
     gamma_prev = 1.0
     eta_prev = -1.0
     theta_prev = 0.0
@@ -244,7 +248,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         v = v_t / rho
         w = w_t / xi
         delta = float(w @ v)
-        if abs(delta) <= tiny:  # biorthogonality lost
+        if abs(delta) <= rel:  # biorthogonality lost
             return run.end(k - 1, x, BREAKDOWN)
         if p is None:
             p, q = v, w
@@ -253,7 +257,7 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
             q = w - (rho * delta / epsilon) * q
         p_t = op(p)
         epsilon = float(q @ p_t)
-        if abs(epsilon) <= tiny:
+        if abs(epsilon) <= rel * np.linalg.norm(q) * np.linalg.norm(p_t):
             return run.end(k - 1, x, BREAKDOWN)
         beta = epsilon / delta
         v_t = p_t - beta * v

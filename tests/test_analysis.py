@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -134,13 +133,6 @@ class TestLemma4:
         pc = build(s, BLOCK_TRI, PChoice())
         with pytest.raises(ValueError):
             check_lemma4(s, pc)
-
-    def test_json_serialization(self):
-        s = saddle(2)
-        report = check_lemma4(s, constraint_pc(s))
-        payload = json.loads(report.to_json(case="I"))
-        assert payload["case"] == "I"
-        assert set(payload) >= {"gamma_T", "lemma4_null_ok", "omega_used"}
 
 
 class TestProjectionSpectrum:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from saddlekit.cli import (
     resolve_solver,
 )
 from saddlekit import cli
+from saddlekit.analysis import SpectralReport
 from saddlekit.cli import UsageError
 from saddlekit.linalg import NotPositiveDefinite
 from saddlekit.solvers import STAGNATED, IterationReport, SolveConfig
@@ -141,6 +143,15 @@ class TestAnalyze:
         assert {"omega_bound_symmetric", "omega_bound_triangular",
                 "pd_bound"} <= set(payload)
         assert payload["lemma4_null_ok"] and payload["lemma4_index_ok"]
+
+    def test_json_keys(self, capsys):
+        # the report's fields in order, then the case and the omega bounds
+        code, out, _ = run(capsys, "analyze", "--case", "II", "-l", "6",
+                           "--nu", "0.1", "--omega", "0.05")
+        assert code == EXIT_OK
+        fields = [f.name for f in dataclasses.fields(SpectralReport)]
+        assert list(json.loads(out)) == [*fields, "case", "omega_bound_symmetric",
+                                         "omega_bound_triangular", "pd_bound"]
 
     def test_size_guard(self, capsys):
         code, _, err = run(capsys, "analyze", "--case", "I", "-l", "32",

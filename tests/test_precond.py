@@ -124,19 +124,20 @@ class TestBuild:
         s = saddle(6)
         pc = build(s, family, PChoice(kind=kind, omega=0.5 * pd_bound(s.W),
                                       custom_p=np.diag(np.arange(1.0, s.n + 1))))
-        r = np.ones(s.n + s.m)
-        r[1] = np.nan
-        with pytest.raises(ValueError):
-            apply_pseudo_inverse(pc, r)
-        with pytest.raises(ValueError):
-            apply_pseudo_inverse_transpose(pc, r)
+        for i in (1, s.n + 1):  # a NaN in r1, then in r2
+            r = np.ones(s.n + s.m)
+            r[i] = np.nan
+            with pytest.raises(ValueError):
+                apply_pseudo_inverse(pc, r)
+            with pytest.raises(ValueError):
+                apply_pseudo_inverse_transpose(pc, r)
 
     def test_triangular_p_product(self):
         s = saddle(2)
         pc = build(s, BLOCK_DIAG, valid_choice(s, "triangular_split", 2))
         v = np.random.default_rng(3).standard_normal(s.n)
         assert np.allclose(pc.P @ pc.p_solve(v), v, atol=1e-9)
-        assert np.allclose(pc.P.T @ pc.p_solve_t(v), v, atol=1e-9)
+        assert np.allclose(pc.P.T @ pc.p_solve(v, "T"), v, atol=1e-9)
 
     def test_custom_p(self):
         s = saddle(3)
@@ -146,8 +147,9 @@ class TestBuild:
         assert np.allclose(pc.p_solve(v), v / np.diag(P))
         pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=P))
         assert np.array_equal(pc.P, P)
-        with pytest.raises(ValueError, match="keeps no factor of P"):
-            pc.p_solve(v)
+        for trans in ("N", "T"):
+            with pytest.raises(ValueError, match="keeps no factor of P"):
+                pc.p_solve(v, trans)
 
 
 @pytest.mark.parametrize("family", [CONSTRAINT, BLOCK_DIAG])
@@ -250,7 +252,7 @@ def test_block_families_share_one_p_solve(oseen_8, kind, omega):
     g = np.random.default_rng(5)
     for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
         for got, same, A in ((tri.p_solve(x), diag.p_solve(x), P),
-                             (tri.p_solve_t(x), diag.p_solve_t(x), P.T)):
+                             (tri.p_solve(x, "T"), diag.p_solve(x, "T"), P.T)):
             assert got.shape == x.shape
             assert got.tobytes() == same.tobytes()
             assert _backward_error(A, got, x) <= 1e-14
@@ -295,7 +297,8 @@ def test_expanded_p_matches_two_triangular_factors(system):
     assert np.linalg.norm(pc.P - P) <= 1e-15 * np.linalg.norm(P)
     g = np.random.default_rng(9)
     for x in (g.standard_normal(s.n), g.standard_normal((s.n, 3))):
-        for got, want, A in ((pc.p_solve(x), solve(x), P), (pc.p_solve_t(x), solve_t(x), P.T)):
+        for got, want, A in ((pc.p_solve(x), solve(x), P),
+                             (pc.p_solve(x, "T"), solve_t(x), P.T)):
             assert _backward_error(A, got, x) <= 1e-14
             # inside the PD bound P is well conditioned: the solves agree too;
             # beyond it (cond(P) reaches 1e17 at l=16) only the backward error holds
@@ -369,6 +372,7 @@ def test_no_family_keeps_e(family, kind):
     assert all(a.shape != (s.m, s.m) for a in arrays)
     # both singular families keep the pinned LU of M, the block-diagonal one for E^+
     assert (pc.M_lu is not None) == (family != BLOCK_TRI)
+    assert (pc.P_lu is not None) == (family != CONSTRAINT)  # the block families' P-solves
     assert pc.B is s.B  # the system's own CSR B, for the applies and assemble
     assert (pc.BT is not None) == (family == BLOCK_TRI)  # its back-substitution's B^T
 
@@ -585,7 +589,7 @@ def test_block_diag_p_solves_and_e_match_dense(system, kind, family):
     X = np.random.default_rng(3).standard_normal((s.n, 3))
     pairs = [(pc.p_solve(X), np.linalg.solve(P, X)),
              (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
-             (pc.p_solve_t(X), np.linalg.solve(P.T, X))]
+             (pc.p_solve(X, "T"), np.linalg.solve(P.T, X))]
     if family == BLOCK_DIAG:
         pairs.append((assemble(pc)[s.n:, s.n:], B @ np.linalg.solve(P, B.T)))
     for got, want in pairs:

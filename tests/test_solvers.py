@@ -228,6 +228,18 @@ def test_qmr_non_finite_start_is_divergence(nu, case, omega):
         assert (report.status, report.iterations, report.x) == (DIVERGED, 0, None)
 
 
+def test_qmr_breakdown_scale_free():
+    # at omega = 1e-30, ||M^+ b|| is near 1e30: the first delta = w^T v of the
+    # unit vectors is 1, which once read as a breakdown at step 0
+    s = build_oseen(8, 0.1)
+    pc = build(s, CONSTRAINT, PChoice(kind="symmetric_scaled", omega=1e-30))
+    cfg = SolveConfig(max_iters=200)
+    report = solve_with("qmr", s, pc, cfg)
+    assert (report.status, report.iterations) == (BREAKDOWN, 23)
+    assert report.final_res < 0.75
+    assert solve_with("gmres", s, pc, cfg).iterations == 200
+
+
 @pytest.mark.parametrize("case,omega", [("I", 1.0), ("V", 1.0), ("VI", 0.34)])
 def test_qmr_stored_transpose_matches_view(monkeypatch, case, omega):
     # QMR's one CSR A^T gives the bits the view A.T gave: with tocsr on the
@@ -281,8 +293,9 @@ def test_no_sparse_array_built_per_step(monkeypatch, solver, case, omega):
 # sha256 of the residual-history bytes (then of x, when the report carries
 # one) on build_oseen(8, nu) with max_iters=400 and no PD gate: one case per
 # solver and way of ending, so every exit of the shared stopping path is
-# pinned to the bit, not only its step count.  Each case runs through
-# solve_with and through the solver function itself, which must agree.
+# pinned to the bit, not only its step count (QMR's breakdown exit is
+# checked by test_qmr_breakdown_scale_free).  Each case runs through solve_with and
+# through the solver function itself, which must agree.
 HISTORY_DIGESTS = [
     ("gcp", 0.1, "I", 1.0, CONVERGED, 17,
      "9ad6274ec9bb6c64c88e0dad2a004c15b82127069e8511ad86f6cba41299278a"),
@@ -302,8 +315,10 @@ HISTORY_DIGESTS = [
     # the block formula's M^+ broke QMR down here after 132 steps
     ("qmr", 0.001, "II", 0.9, CONVERGED, 90,
      "b0bd8eb1aec51c0acb2dc0e33d1bf7467a3de94d6d187dfe807e73ba54c04532"),
-    ("qmr", 0.1, "VI", 0.34, BREAKDOWN, 179,
-     "c8e528d7aa29a983afb6c0ecd3d5e601f2c20b85570c4d3e2eacf84158100d39"),
+    # broke down at step 179 while epsilon = q^T op(p) was tested against the
+    # scale of the first preconditioned residual, not against ||q|| ||op(p)||
+    ("qmr", 0.1, "VI", 0.34, MAX_ITERS, 400,
+     "039e506bd972fe4c49ec26710bbea3a1b0c722f0eb07007a8f8dbe913039b267"),
     ("stationary", 0.001, "V", 1.0, DIVERGED, 7,
      "9a4cf474338187db800a063b0029aa7427cc81b618f46a1d2030bcc986cdfd6f"),
 ]
