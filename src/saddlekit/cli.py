@@ -1,8 +1,7 @@
 """Command-line front end: generate problems, solve, sweep, analyze, tabulate.
 
-Cases map onto preconditioner families exactly as in the benchmark setup:
-I/II constraint, III/IV block-diagonal, V/VI block-triangular; odd cases
-use the symmetric scaled P = omega*H, even cases the triangular split.
+The cases and the tables themselves live in ``tables``; this module parses,
+validates, dispatches and prints.
 
 Exit codes: 0 converged, 2 iteration limit, 3 any other end of a solve
 (diverged, breakdown, stagnated), 64 usage error.
@@ -24,77 +23,17 @@ import numpy as np
 from . import __version__
 from .analysis import check_lemma4, omega_bound_symmetric, omega_bound_triangular
 from .linalg import LinAlgFailure, NotPositiveDefinite
-from .precond import (
-    BLOCK_DIAG,
-    BLOCK_TRI,
-    CONSTRAINT,
-    PChoice,
-    SYMMETRIC_SCALED,
-    TRIANGULAR_SPLIT,
-    build,
-    pd_bound,
-)
+from .precond import BLOCK_TRI, PChoice, build, pd_bound
 from .problems import build_oseen, export
-from .solvers import (
-    MAX_ITERS,
-    SolveConfig,
-    best_report,
-    omega_sweep,
-    solve_with,
-)
+from .solvers import MAX_ITERS, SolveConfig, best_report, solve_with
+from .tables import (CASE_MAP, CASES, COLUMNS, check_tabulated, resolve_solver, run_table,
+                     sweep_case)
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
 EXIT_DIVERGED = 3
 EXIT_USAGE = 64
 
-CASE_MAP = {
-    "I": (CONSTRAINT, SYMMETRIC_SCALED),
-    "II": (CONSTRAINT, TRIANGULAR_SPLIT),
-    "III": (BLOCK_DIAG, SYMMETRIC_SCALED),
-    "IV": (BLOCK_DIAG, TRIANGULAR_SPLIT),
-    "V": (BLOCK_TRI, SYMMETRIC_SCALED),
-    "VI": (BLOCK_TRI, TRIANGULAR_SPLIT),
-}
-CASES = tuple(CASE_MAP)
-
-# Published optimal omega per (table, case, nu, l); None marks a cell that
-# did not converge within 5000 steps for any omega in (0, 2000].
-PUBLISHED_OMEGA = {
-    2: {
-        ("I", 0.1, 16): 1.00, ("I", 0.1, 32): 1.00,
-        ("II", 0.1, 16): 0.98, ("II", 0.1, 32): 0.99,
-        ("II", 0.001, 16): 0.08, ("II", 0.001, 32): 0.16,
-    },
-    3: {
-        ("I", 0.1, 16): 1.50, ("I", 0.1, 32): 1.61,
-        ("II", 0.1, 16): 0.63, ("II", 0.1, 32): 0.64,
-        ("III", 0.1, 16): 0.03, ("III", 0.1, 32): 0.02,
-        ("IV", 0.1, 16): 0.02, ("IV", 0.1, 32): 0.02,
-        ("V", 0.1, 16): 0.01, ("V", 0.1, 32): 0.02,
-        ("I", 0.001, 16): 26.40, ("I", 0.001, 32): 28.62,
-        ("II", 0.001, 16): 0.04, ("II", 0.001, 32): 0.05,
-        ("III", 0.001, 16): 0.04, ("III", 0.001, 32): 0.02,
-        ("IV", 0.001, 16): 0.06, ("IV", 0.001, 32): 0.10,
-        ("V", 0.001, 16): 0.02, ("V", 0.001, 32): 0.01,
-    },
-    4: {
-        ("I", 0.1, 16): 1.52, ("I", 0.1, 32): 1.59,
-        ("II", 0.1, 16): 0.60, ("II", 0.1, 32): 0.63,
-        ("III", 0.1, 16): 2.12, ("III", 0.1, 32): 2.11,
-        ("IV", 0.1, 16): 1.00, ("IV", 0.1, 32): 0.99,
-        ("V", 0.1, 16): 1.26, ("V", 0.1, 32): 1.11,
-        ("VI", 0.1, 16): 0.90, ("VI", 0.1, 32): 0.85,
-        ("I", 0.001, 16): 24.10, ("I", 0.001, 32): 21.60,
-        ("II", 0.001, 16): 0.06, ("II", 0.001, 32): 0.05,
-        ("IV", 0.001, 16): 0.09, ("IV", 0.001, 32): 0.11,
-        ("V", 0.001, 16): 28.35, ("V", 0.001, 32): 25.67,
-        ("VI", 0.001, 16): 0.02, ("VI", 0.001, 32): 0.04,
-    },
-}
-# None: the case's own scheme (resolve_solver)
-TABLE_SOLVER = {2: None, 3: "gmres", 4: "qmr"}
-DASH_GRID = np.geomspace(1e-3, 2000.0, 10)
 #: Largest omega grid ``parse_omega_grid`` accepts; each point is one build and one solve.
 MAX_OMEGA_POINTS = 10_000
 
@@ -123,27 +62,6 @@ def parse_omega_grid(text: str) -> list[float]:
         size = f"{math.ceil(count)} points" if math.isfinite(count) else "too many points"
         raise UsageError(f"bad omega grid {text!r}: {size}, more than {MAX_OMEGA_POINTS}")
     return [float(w) for w in np.arange(a, b + 0.5 * step, step)]
-
-
-def resolve_solver(case: str, solver: str | None) -> str:
-    """Check the case/solver pairing; 'gcp' needs a singular family.
-
-    None picks the case's own scheme: 'stationary' for the block-triangular
-    family, 'gcp' for the singular ones.
-    """
-    family = CASE_MAP[case][0]
-    if solver is None:
-        return "stationary" if family == BLOCK_TRI else "gcp"
-    if solver == "gcp" and family == BLOCK_TRI:
-        raise UsageError(
-            f"case {case} uses the nonsingular block-triangular preconditioner; "
-            "the GCP scheme applies a Moore-Penrose inverse and targets the "
-            "singular families (cases I-IV).  Use --solver stationary, gmres or qmr.")
-    if solver == "stationary" and family != BLOCK_TRI:
-        raise UsageError(
-            f"case {case} uses a singular preconditioner; the stationary scheme "
-            "with an exact inverse needs cases V/VI.  Use --solver gcp, gmres or qmr.")
-    return solver
 
 
 def _checked(make, *args, **kwargs):
@@ -179,13 +97,6 @@ def build_case(system, case: str, omega: float, enforce_pd: bool = False):
         return _premised(system, build, system, family, p_choice, enforce_pd=enforce_pd)
     except (ValueError, LinAlgFailure) as exc:
         raise UsageError(f"--omega {omega:g}: {exc}") from exc
-
-
-def sweep_case(system, case: str, grid, solver: str, cfg: SolveConfig):
-    """One report per grid omega for a case, built without the PD gate."""
-    family, kind = CASE_MAP[case]
-    return _premised(system, omega_sweep, system, family, kind, grid, solver=solver, cfg=cfg,
-                     case_label=case, enforce_pd=False)
 
 
 # every flag that more than one command takes, declared once:
@@ -307,7 +218,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    solver = resolve_solver(args.case, args.solver)
+    solver = _checked(resolve_solver, args.case, args.solver)
     cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
     pc = build_case(system, args.case, args.omega)
@@ -319,11 +230,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    solver = resolve_solver(args.case, args.solver)
+    solver = _checked(resolve_solver, args.case, args.solver)
     grid = parse_omega_grid(args.omega_grid)
     cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
-    reports = sweep_case(system, args.case, grid, solver, cfg)
+    reports = _premised(system, sweep_case, system, args.case, grid, solver, cfg)
     best = best_report(reports)
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
@@ -360,44 +271,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[dict]:
-    """Long-form rows (nu, case, omega, iterations, status) for one table.
-
-    A published omega is tried at {0.9, 1.0, 1.1} x omega and the best
-    converged run kept; a published dash is confirmed when no omega of
-    DASH_GRID converges.
-    """
-    rows = []
-    for nu in (0.1, 0.001):
-        system = build_oseen(l, nu, seed=seed)
-        for case in CASES:
-            solver = resolve_solver(case, TABLE_SOLVER[table_id])
-            omega = PUBLISHED_OMEGA[table_id].get((case, nu, l))
-            if omega is None:
-                reports = sweep_case(system, case, DASH_GRID, solver, cfg)
-                confirmed = not any(r.converged for r in reports)
-                rows.append({"nu": nu, "case": case, "omega": "-",
-                             "iterations": "-",
-                             "status": "nonconvergent" if confirmed else "CONVERGED?"})
-                continue
-            best = best_report(sweep_case(system, case, [0.9 * omega, omega, 1.1 * omega],
-                                          solver, cfg))
-            if best is None:
-                rows.append({"nu": nu, "case": case, "omega": f"{omega:g}",
-                             "iterations": "-", "status": "nonconvergent"})
-            else:
-                rows.append({"nu": nu, "case": case, "omega": f"{best.omega:g}",
-                             "iterations": best.iterations, "status": best.status})
-    return rows
-
-
 def cmd_table(args) -> int:
-    if args.l not in (16, 32):
-        raise UsageError("published omegas are tabulated for l in {16, 32}")
+    _checked(check_tabulated, args.l)
     cfg = _solve_config(args)
-    header = ["nu", "case", "omega", "iterations", "status"]
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
-    _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), args.out)
+    _emit(_csv_text(COLUMNS, [[row[k] for k in COLUMNS] for row in rows]), args.out)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ the outcome: divergence, breakdown and stagnation are statuses, not errors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,10 @@ class SolveConfig:
     restart: int = 10
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf or self.max_iters < 1 or self.restart < 1:
+        # integral step counts, numpy's too: a float count fails inside the Krylov loops
+        counts = (self.max_iters, self.restart)
+        if (not 0 < self.tol < np.inf
+                or not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts)):
             raise ValueError("invalid solve configuration")
 
 
@@ -74,13 +78,13 @@ class _Run:
     with A; QMR forms one CSR A^T from it per solve for its A^T products.
     """
 
-    def __init__(self, system: SaddleSystem, pc: Preconditioner | None,
+    def __init__(self, system: SaddleSystem, pc: Preconditioner,
                  cfg: SolveConfig | None, case_label: str):
         self.cfg = cfg = cfg or SolveConfig()
         self.A = system.matrix()
         self.b = system.rhs()
         self.b_norm = float(np.linalg.norm(self.b)) or 1.0
-        self.omega = 1.0 if pc is None else pc.p_choice.omega
+        self.omega = pc.p_choice.omega
         self.case_label = case_label
         self.history: list[float] = []
         self.diverged = False
@@ -140,14 +144,7 @@ def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
     return run.end(k, x)
 
 
-def _precondition(pc: Preconditioner | None):
-    if pc is None:
-        return (lambda v: v), (lambda v: v)
-    return (lambda v: apply_pseudo_inverse(pc, v),
-            lambda v: apply_pseudo_inverse_transpose(pc, v))
-
-
-def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
+def gmres_restarted(system: SaddleSystem, pc: Preconditioner,
                     cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
     """Left-preconditioned GMRES(restart); iteration count = total inner steps.
 
@@ -156,13 +153,12 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
     """
     run = _Run(system, pc, cfg, case_label)
     cfg = run.cfg
-    m_apply, _ = _precondition(pc)
     x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     total = 0
     tiny = 1e-14
     while not run.done and total < cfg.max_iters:
-        r_p = m_apply(r)
+        r_p = apply_pseudo_inverse(pc, r)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(r_p))
         if not np.isfinite(beta):
@@ -176,7 +172,7 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
         V[:, 0] = r_p / beta
         happy = False
         for k in range(steps):
-            w = m_apply(run.A @ V[:, k])
+            w = apply_pseudo_inverse(pc, run.A @ V[:, k])
             for i in range(k + 1):  # modified Gram-Schmidt
                 Hm[i, k] = V[:, i] @ w
                 w = w - Hm[i, k] * V[:, i]
@@ -199,7 +195,7 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner | None,
     return run.end(total, x)
 
 
-def qmr(system: SaddleSystem, pc: Preconditioner | None,
+def qmr(system: SaddleSystem, pc: Preconditioner,
         cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
     """Coupled two-term QMR without look-ahead on the left-preconditioned operator.
 
@@ -213,20 +209,13 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
     # one CSR A^T per solve: a product with the view A.T builds a new CSC
     # array on every call, and both add each entry's terms in the same order
     A_t = A.T.tocsr()
-    m_apply, m_apply_t = _precondition(pc)
-
-    def op(v):
-        return m_apply(A @ v)
-
-    def op_t(v):
-        return A_t @ m_apply_t(v)
 
     x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     if run.converged:
         return run.end(0, x)
     # no vector below is updated in place, so v_t and w_t can share one array
-    v_t = w_t = m_apply(r)
+    v_t = w_t = apply_pseudo_inverse(pc, r)
     with np.errstate(over="ignore"):
         rho = xi = float(np.linalg.norm(v_t))
     if not np.isfinite(rho):
@@ -255,14 +244,14 @@ def qmr(system: SaddleSystem, pc: Preconditioner | None,
         else:
             p = v - (xi * delta / epsilon) * p
             q = w - (rho * delta / epsilon) * q
-        p_t = op(p)
+        p_t = apply_pseudo_inverse(pc, A @ p)  # op(p), op = M^+ A
         epsilon = float(q @ p_t)
         if abs(epsilon) <= rel * np.linalg.norm(q) * np.linalg.norm(p_t):
             return run.end(k - 1, x, BREAKDOWN)
         beta = epsilon / delta
         v_t = p_t - beta * v
         rho_next = float(np.linalg.norm(v_t))
-        w_t = op_t(q) - beta * w
+        w_t = A_t @ apply_pseudo_inverse_transpose(pc, q) - beta * w
         xi = float(np.linalg.norm(w_t))
         theta = rho_next / (gamma_prev * abs(beta))
         gamma = 1.0 / np.sqrt(1.0 + theta**2)

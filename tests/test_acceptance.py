@@ -35,7 +35,7 @@ from saddlekit import (
 from saddlekit.linalg import numerical_rank
 from saddlekit.problems import skew_part, symmetric_part
 from saddlekit.solvers import omega_sweep
-from saddlekit.cli import DASH_GRID, run_table
+from saddlekit.tables import DASH_GRID, run_table
 
 T_START = time.time()
 DATA = Path(__file__).parent / "data"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from saddlekit.cli import (
-    CASE_MAP,
     EXIT_DIVERGED,
     EXIT_MAX_ITERS,
     EXIT_OK,
@@ -13,7 +12,6 @@ from saddlekit.cli import (
     MAX_OMEGA_POINTS,
     main,
     parse_omega_grid,
-    resolve_solver,
 )
 from saddlekit import cli
 from saddlekit.analysis import SpectralReport
@@ -41,21 +39,6 @@ class TestParsing:
                 parse_omega_grid(bad)
         with pytest.raises(UsageError, match="1000001 points, more than 10000"):
             parse_omega_grid("0.1:0.2:1e-7")
-
-    def test_case_map_families(self):
-        assert CASE_MAP["I"] == ("constraint", "symmetric_scaled")
-        assert CASE_MAP["II"] == ("constraint", "triangular_split")
-        assert CASE_MAP["IV"] == ("block_diag", "triangular_split")
-        assert CASE_MAP["V"] == ("block_tri", "symmetric_scaled")
-
-    def test_solver_gating(self):
-        with pytest.raises(UsageError):
-            resolve_solver("VI", "gcp")
-        with pytest.raises(UsageError):
-            resolve_solver("I", "stationary")
-        assert resolve_solver("I", None) == "gcp"
-        assert resolve_solver("V", None) == "stationary"
-        assert resolve_solver("VI", "qmr") == "qmr"
 
 
 class TestGen:
@@ -178,6 +161,7 @@ def test_sweep_ignores_thread_variable(capsys, monkeypatch):
 def test_table_grid_guard(capsys):
     code, _, err = run(capsys, "table", "2", "-l", "8")
     assert code == EXIT_USAGE
+    assert "published omegas are tabulated for l in {16, 32}" in err
 
 
 @pytest.mark.parametrize("argv", [

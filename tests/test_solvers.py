@@ -24,7 +24,7 @@ from saddlekit import (
     qmr,
     solve_with,
 )
-from saddlekit.cli import CASE_MAP
+from saddlekit.tables import CASE_MAP
 from saddlekit.solvers import (
     BREAKDOWN,
     CONVERGED,
@@ -56,6 +56,22 @@ class TestConfig:
             SolveConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolveConfig(restart=0)
+
+    @pytest.mark.parametrize("counts", [dict(max_iters=2.5), dict(max_iters=2.0),
+                                        dict(restart=2.5), dict(max_iters=np.float64(3)),
+                                        dict(max_iters=None)], ids=repr)
+    def test_step_counts_integral(self, counts):
+        # a float count once ran a fractional last gcp step and failed with a
+        # TypeError inside the GMRES and QMR loops
+        with pytest.raises(ValueError, match="invalid solve configuration"):
+            SolveConfig(**counts)
+
+    @pytest.mark.parametrize("solver", ["gcp", "gmres", "qmr"])
+    def test_numpy_integer_counts(self, solver):
+        s = saddle(0)
+        cfg = SolveConfig(tol=1e-300, max_iters=np.int64(3), restart=np.int32(2))
+        report = solve_with(solver, s, default_pc(s), cfg)
+        assert (report.status, report.iterations) == (MAX_ITERS, 3)
 
 
 class TestGcp:
@@ -107,14 +123,19 @@ class TestKrylov:
     @given(seed=st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
     def test_matches_direct_solve_nonsingular(self, method, seed):
+        # a full-rank B makes A nonsingular: the solve must reach its one
+        # solution, here under the constraint M with P = I
         g = np.random.default_rng(seed)
-        n = 10
-        A = g.standard_normal((n, n)) + 5 * np.eye(n)
-        x_true = g.standard_normal(n)
-        s = SaddleSystem(W=A, B=np.zeros((0, n)), f=A @ x_true, g=np.zeros(0))
-        report = method(s, None, SolveConfig(tol=1e-10))
+        n, m = 10, 4
+        W = g.standard_normal((n, n)) + 5 * np.eye(n)
+        B = g.standard_normal((m, n))
+        x_true = g.standard_normal(n + m)
+        s = SaddleSystem(W=W, B=B, f=np.zeros(n), g=np.zeros(m))
+        s = s.with_rhs(s.matrix() @ x_true)
+        pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=np.eye(n)))
+        report = method(s, pc, SolveConfig(tol=1e-10))
         assert report.converged
-        assert np.allclose(report.x[:n], x_true, atol=1e-6)
+        assert np.allclose(report.x, x_true, atol=1e-6)
 
     @pytest.mark.parametrize("solver", ["gmres", "qmr"])
     @given(seed=st.integers(0, 200))
