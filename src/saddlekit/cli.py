@@ -25,9 +25,9 @@ from .analysis import check_lemma4, omega_bound_symmetric, omega_bound_triangula
 from .linalg import LinAlgFailure, NotPositiveDefinite
 from .precond import BLOCK_TRI, PChoice, build, pd_bound
 from .problems import build_oseen, export
-from .solvers import MAX_ITERS, SolveConfig, best_report, solve_with
-from .tables import (CASE_MAP, CASES, COLUMNS, check_tabulated, resolve_solver, run_table,
-                     sweep_case)
+from .solvers import MAX_ITERS, SolveConfig, best_report, omega_sweep, solve_with
+from .tables import (CASE_MAP, CASES, COLUMNS, PUBLISHED_OMEGA, check_tabulated, resolve_solver,
+                     run_table)
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
@@ -88,9 +88,9 @@ def _solve_config(args) -> SolveConfig:
 
 
 def build_case(system, case: str, omega: float, enforce_pd: bool = False):
-    """The case's preconditioner.  An omega that a sweep would record as
-    infeasible (the PD gate, a P that overflows, a singular factor) is a
-    usage error that names omega."""
+    """The case's preconditioner.  An omega past the PD gate (with
+    ``enforce_pd``) or one that a sweep would record as infeasible (a P that
+    overflows, a singular factor) is a usage error that names omega."""
     family, kind = CASE_MAP[case]
     p_choice = _checked(PChoice, kind=kind, omega=omega)
     try:
@@ -146,7 +146,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(a, "l", "nu", "case", "seed", "out", "omega")
 
     t = sub.add_parser("table", help="reproduce a benchmark table")
-    t.add_argument("table_id", type=int, choices=(2, 3, 4))
+    t.add_argument("table_id", type=int, choices=tuple(PUBLISHED_OMEGA))
     _add_flags(t, "l", "tol", "max_iters", "restart", "seed", "out")
     return parser
 
@@ -234,7 +234,8 @@ def cmd_sweep(args) -> int:
     grid = parse_omega_grid(args.omega_grid)
     cfg = _solve_config(args)
     system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
-    reports = _premised(system, sweep_case, system, args.case, grid, solver, cfg)
+    reports = _premised(system, omega_sweep, system, *CASE_MAP[args.case], grid, solver=solver,
+                        cfg=cfg, case_label=args.case)
     best = best_report(reports)
     if args.format == "json":
         payload = {"case": args.case, "best_omega": best.omega if best else None,
@@ -272,7 +273,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _checked(check_tabulated, args.l)
+    _checked(check_tabulated, args.table_id, args.l)
     cfg = _solve_config(args)
     rows = run_table(args.table_id, args.l, cfg, seed=args.seed)
     _emit(_csv_text(COLUMNS, [[row[k] for k in COLUMNS] for row in rows]), args.out)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import Array, LinAlgFailure, NotPositiveDefinite
 from .precond import (
+    FAMILIES,
     PChoice,
     Preconditioner,
     apply_pseudo_inverse,
@@ -282,30 +283,31 @@ def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str 
 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
                 omega_grid, solver: str = "gcp",
-                cfg: SolveConfig | None = None, case_label: str = "",
-                enforce_pd: bool = True) -> list[IterationReport]:
+                cfg: SolveConfig | None = None, case_label: str = "") -> list[IterationReport]:
     """One report per omega, in grid order; failures are flagged, not raised.
 
-    An omega whose preconditioner cannot be built (``build`` raises
-    ValueError or LinAlgFailure) gets an ``infeasible`` report.  An
-    indefinite sym(W) fails P = omega H at every omega, so its
-    NotPositiveDefinite is raised.
+    An unknown family or P kind, or an omega outside (0, inf), is a
+    ValueError before any build.  Each omega builds without the PD gate; one
+    whose preconditioner cannot be built (``build`` raises ValueError or
+    LinAlgFailure) gets an ``infeasible`` report.  An indefinite sym(W)
+    fails P = omega H at every omega, so its NotPositiveDefinite is raised.
     """
-    omegas = list(omega_grid)
-    if not omegas:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown preconditioner family {family!r}")
+    choices = [PChoice(kind=p_kind, omega=omega) for omega in omega_grid]
+    if not choices:
         raise ValueError("omega grid must be nonempty")
 
-    def run(omega: float) -> IterationReport:
+    def run(choice: PChoice) -> IterationReport:
         try:
-            pc = build(system, family, PChoice(kind=p_kind, omega=omega),
-                       enforce_pd=enforce_pd)
+            pc = build(system, family, choice, enforce_pd=False)
         except NotPositiveDefinite:
             raise
         except (ValueError, LinAlgFailure):
-            return IterationReport(0, [], omega, case_label, INFEASIBLE)
+            return IterationReport(0, [], choice.omega, case_label, INFEASIBLE)
         return solve_with(solver, system, pc, cfg, case_label)
 
-    return [run(omega) for omega in omegas]
+    return [run(choice) for choice in choices]
 
 
 def best_report(reports) -> IterationReport | None:

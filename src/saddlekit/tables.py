@@ -87,18 +87,13 @@ def resolve_solver(case: str, solver: str | None) -> str:
     return solver
 
 
-def check_tabulated(l: int):
-    """Refuse a grid size that no table publishes an omega for."""
+def check_tabulated(table_id: int, l: int):
+    """Refuse a table the paper does not print, or a grid size it publishes no omega for."""
+    if table_id not in PUBLISHED_OMEGA:
+        raise ValueError(f"no table {table_id}: tables are {', '.join(map(str, PUBLISHED_OMEGA))}")
     if l not in TABULATED_L:
         sizes = ", ".join(map(str, TABULATED_L))
         raise ValueError(f"published omegas are tabulated for l in {{{sizes}}}")
-
-
-def sweep_case(system, case: str, grid, solver: str, cfg: SolveConfig):
-    """One report per grid omega for a case, built without the PD gate."""
-    family, kind = CASE_MAP[case]
-    return omega_sweep(system, family, kind, grid, solver=solver, cfg=cfg, case_label=case,
-                       enforce_pd=False)
 
 
 def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[dict]:
@@ -109,7 +104,7 @@ def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[di
     converged run; a dash is confirmed when no omega converges and reads
     CONVERGED? otherwise.
     """
-    check_tabulated(l)
+    check_tabulated(table_id, l)
     rows = []
     for nu in (0.1, 0.001):
         system = build_oseen(l, nu, seed=seed)
@@ -117,7 +112,8 @@ def run_table(table_id: int, l: int, cfg: SolveConfig, seed: int = 0) -> list[di
             solver = resolve_solver(case, TABLE_SOLVER[table_id])
             omega = PUBLISHED_OMEGA[table_id].get((case, nu, l))
             grid = DASH_GRID if omega is None else [0.9 * omega, omega, 1.1 * omega]
-            best = best_report(sweep_case(system, case, grid, solver, cfg))
+            best = best_report(omega_sweep(system, *CASE_MAP[case], grid, solver=solver,
+                                           cfg=cfg, case_label=case))
             if best is None:
                 cell = ("-" if omega is None else f"{omega:g}", "-", "nonconvergent")
             elif omega is None:

@@ -204,8 +204,7 @@ def test_criterion_6_table2_qualitative(oseen16):
                 must_fail.append((fam, kind, solver, nu))
     all_fail = True
     for fam, kind, solver, nu in must_fail:
-        reports = omega_sweep(oseen16[nu], fam, kind, DASH_GRID, solver=solver,
-                              cfg=cfg, enforce_pd=False)
+        reports = omega_sweep(oseen16[nu], fam, kind, DASH_GRID, solver=solver, cfg=cfg)
         if any(r.converged for r in reports):
             all_fail = False
     _verdict(6, case1_ok and case2_ok and all_fail,

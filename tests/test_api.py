@@ -2,7 +2,7 @@
 so a dropped export would end a benchmark run as ``run_failed``."""
 
 import saddlekit
-from saddlekit import analysis, cli, precond
+from saddlekit import analysis, cli, precond, solvers
 
 # the names perfbench/workloads.py and perfbench/tracing.py call
 BENCHMARK_NAMES = [
@@ -12,6 +12,13 @@ BENCHMARK_NAMES = [
     "solve_with", "SolveConfig", "check_lemma4",
     "omega_bound_symmetric", "omega_bound_triangular", "pd_bound",
 ]
+# the module attributes perfbench/tracing.py wraps: the package looks them up
+# at call time, so a renamed one drops its spans without any error
+TRACED_LOOKUPS = {
+    solvers: ["apply_pseudo_inverse", "apply_pseudo_inverse_transpose", "build", "solve_with"],
+    cli: ["build_oseen", "omega_sweep"],
+    analysis: ["apply_pseudo_inverse", "gcp_convergence_indicator", "projection_spectrum"],
+}
 
 
 def test_all_names_resolve():
@@ -22,6 +29,12 @@ def test_benchmark_names_exported():
     assert [name for name in BENCHMARK_NAMES if name not in saddlekit.__all__] == []
     assert callable(saddlekit.SaddleSystem.matrix)
     assert callable(cli.main)
+
+
+def test_traced_lookups_exist():
+    missing = [f"{module.__name__}.{name}" for module, names in TRACED_LOOKUPS.items()
+               for name in names if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_pd_bound_is_one_function():

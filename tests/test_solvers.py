@@ -24,6 +24,7 @@ from saddlekit import (
     qmr,
     solve_with,
 )
+from saddlekit import solvers
 from saddlekit.tables import CASE_MAP
 from saddlekit.solvers import (
     BREAKDOWN,
@@ -168,9 +169,11 @@ class TestKrylov:
 
 class TestSweep:
     def test_flags_infeasible_and_finds_best(self):
+        # at omega = 1e-320 the I/omega term of the triangular-split P
+        # overflows, a build that fails without the PD gate
         s = saddle(20)
         from saddlekit.analysis import pd_bound
-        grid = [0.5 * pd_bound(s.W), 2.0 * pd_bound(s.W)]
+        grid = [0.5 * pd_bound(s.W), 1e-320]
         reports = omega_sweep(s, CONSTRAINT, "triangular_split", grid,
                               cfg=SolveConfig(max_iters=2000))
         assert [r.omega for r in reports] == grid
@@ -182,8 +185,23 @@ class TestSweep:
         s = saddle(20)
         from saddlekit.analysis import pd_bound
         (report,) = omega_sweep(s, CONSTRAINT, "triangular_split", [2.0 * pd_bound(s.W)],
-                                cfg=SolveConfig(max_iters=50), enforce_pd=False)
+                                cfg=SolveConfig(max_iters=50))
         assert report.status != INFEASIBLE and report.iterations > 0
+
+    @pytest.mark.parametrize("family,kind,omega", [
+        ("constrain", "symmetric_scaled", 1.0),
+        (CONSTRAINT, "symmetric_scale", 1.0),
+        (CONSTRAINT, "custom", 1.0),
+        *[(CONSTRAINT, "triangular_split", w) for w in (0.0, -1.0, np.nan, np.inf)],
+    ])
+    def test_malformed_request_raises_before_any_build(self, monkeypatch, family, kind, omega):
+        # a programming error is a ValueError, never an infeasible row
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a preconditioner for a malformed sweep")
+
+        monkeypatch.setattr(solvers, "build", no_build)
+        with pytest.raises(ValueError):
+            omega_sweep(saddle(22), family, kind, [0.5, omega])
 
     def test_indefinite_h_raises(self):
         # the SPD check on H does not depend on omega: no omega is infeasible

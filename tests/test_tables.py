@@ -33,15 +33,19 @@ def test_solver_gating():
     assert resolve_solver("VI", "qmr") == "qmr"
 
 
-@pytest.mark.parametrize("l", [4, 8, 17, 64])
-def test_run_table_refuses_untabulated_grid(monkeypatch, l):
-    # an l with no published omega would print a table of dash checks
+@pytest.mark.parametrize("table_id,l,refusal", [
+    *[pytest.param(2, l, r"tabulated for l in \{16, 32\}", id=str(l)) for l in (4, 8, 17, 64)],
+    pytest.param(5, 16, "no table 5: tables are 2, 3, 4", id="table5"),
+])
+def test_run_table_refuses_untabulated_grid(monkeypatch, table_id, l, refusal):
+    # an l with no published omega would print a table of dash checks; the
+    # table id is checked with it, before the first system is built
     def no_work(*args, **kwargs):
-        raise AssertionError("built a system for an untabulated grid")
+        raise AssertionError("built a system for an untabulated table")
 
     monkeypatch.setattr(tables, "build_oseen", no_work)
-    with pytest.raises(ValueError, match=r"tabulated for l in \{16, 32\}"):
-        run_table(2, l, SolveConfig())
+    with pytest.raises(ValueError, match=refusal):
+        run_table(table_id, l, SolveConfig())
 
 
 def test_run_table_row_shapes(monkeypatch):
@@ -51,15 +55,16 @@ def test_run_table_row_shapes(monkeypatch):
     converged_at = {("I", 0.1): 2, ("IV", 0.1): 5}  # (case, nu) -> grid index
     sweeps = []
 
-    def sweep(system, case, grid, solver, cfg):
-        sweeps.append((system.nu, case, grid, solver))
-        hit = converged_at.get((case, system.nu))
-        return [IterationReport(9 if i == hit else 5000, [0.5], w, case,
+    def sweep(system, family, kind, grid, solver, cfg, case_label):
+        assert CASE_MAP[case_label] == (family, kind)
+        sweeps.append((system.nu, case_label, grid, solver))
+        hit = converged_at.get((case_label, system.nu))
+        return [IterationReport(9 if i == hit else 5000, [0.5], w, case_label,
                                 CONVERGED if i == hit else MAX_ITERS)
                 for i, w in enumerate(grid)]
 
     monkeypatch.setattr(tables, "build_oseen", lambda l, nu, seed=0: SimpleNamespace(nu=nu))
-    monkeypatch.setattr(tables, "sweep_case", sweep)
+    monkeypatch.setattr(tables, "omega_sweep", sweep)
     rows = run_table(2, 16, SolveConfig())
     assert [(row["nu"], row["case"]) for row in rows] == [
         (nu, case) for nu in (0.1, 0.001) for case in CASES]
