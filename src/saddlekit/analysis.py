@@ -14,18 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import (
     Array,
     NotPositiveDefinite,
     dense,
-    null_basis,
     numerical_rank,
     pseudospectral_radius,
-    rank_of,
     spectral_norm,
-    svd,
     sym_inv_sqrt,
     sym_sqrt,
 )
@@ -34,8 +30,6 @@ from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from .precond import pd_bound  # noqa: F401  (re-exported beside the omega bounds)
 from .problems import (SaddleSystem, lower_skew_part, saddle_null_basis, skew_part,
                        symmetric_part)
-
-NULL_ANGLE_TOL = 1e-8
 
 
 @dataclass
@@ -75,29 +69,30 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
 
     null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
     it under the premise sym(W) > 0, a subset otherwise, so the null-space
-    test can only be stricter than one against an SVD of A.  ``gamma_XPW``
-    carries the caveat of :func:`gcp_convergence_indicator`: for the
-    triangular split beyond ``pd_bound(W)`` it is set by rounding.
+    test can only be stricter than one against an SVD of A.  Two identities
+    spare singular vectors and half of the eigenvalue work:
+
+    * A (0; N) = 0, so {0} x null(B^T) lies in null(M^+ A), and the two are
+      equal iff rank(M^+ A) = n + m - d; the null-space test compares
+      dimensions only.
+    * For the constraint family M^+ (B^T; 0) = (0; I - N N^T), so X B^T = 0
+      and T = [[I - X(P - W), 0], [*, N N^T]] is block lower triangular.  The
+      eigenvalues 0 and 1 of N N^T add nothing to the pseudospectral radius:
+      gamma_T is that of the leading n x n block.  The block-diagonal family
+      keeps the whole T.
+
+    ``gamma_XPW`` carries the caveat of :func:`gcp_convergence_indicator`:
+    for the triangular split beyond ``pd_bound(W)`` it is set by rounding.
     """
     if pc.family not in (CONSTRAINT, BLOCK_DIAG):
         raise ValueError("convergence conditions apply to the singular families")
     A = system.matrix().toarray()
     MdagA = apply_pseudo_inverse(pc, A)
-    T = np.eye(A.shape[0]) - MdagA
-
-    NA = saddle_null_basis(system)
-    f = svd(MdagA)  # gives both the null space and the rank of M^+ A
-    NMA = null_basis(f)
-    if NA.shape[1] != NMA.shape[1]:
-        null_ok = False
-    elif NA.shape[1] == 0:
-        null_ok = True
-    else:
-        angles = sla.subspace_angles(NA, NMA)
-        null_ok = bool(angles.max(initial=0.0) <= NULL_ANGLE_TOL)
-
-    index_ok = rank_of(f.singular_values) == numerical_rank(MdagA @ MdagA)
-    gamma_T = pseudospectral_radius(T)
+    rank = numerical_rank(MdagA)
+    null_ok = A.shape[0] - rank == saddle_null_basis(system).shape[1]
+    index_ok = rank == numerical_rank(MdagA @ MdagA)
+    k = pc.n if pc.family == CONSTRAINT else A.shape[0]
+    gamma_T = pseudospectral_radius(np.eye(k) - MdagA[:k, :k])
 
     gamma_xpw = None
     if pc.family == CONSTRAINT:

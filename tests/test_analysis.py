@@ -10,6 +10,8 @@ from saddlekit import (
     CONSTRAINT,
     PChoice,
     SaddleSystem,
+    apply_pseudo_inverse,
+    apply_pseudo_inverse_transpose,
     build,
     build_oseen,
     build_random_singular,
@@ -22,8 +24,10 @@ from saddlekit import (
     omega_bound_triangular,
     pd_bound,
     projection_spectrum,
+    pseudospectral_radius,
 )
 from saddlekit.linalg import numerical_rank, pinv, sym_inv_sqrt
+from saddlekit.problems import saddle_null_basis
 from saddlekit.solvers import SolveConfig, solve_with
 
 
@@ -298,10 +302,14 @@ def _lemma4_oracle(system, pc):
     (BLOCK_DIAG, "triangular_split", (0.005, 0.06)),
 ], ids=["I", "II", "III", "IV"])
 def test_check_lemma4_matches_full_svd_oracle(nu, family, kind, omegas):
+    # gamma_T of the constraint family comes from T's leading n x n block,
+    # which re-rounds it; every other field is bit-equal
     s = build_oseen(8, nu)
     for omega in omegas:
         pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
-        assert check_lemma4(s, pc).__dict__ == _lemma4_oracle(s, pc)
+        got, want = check_lemma4(s, pc).__dict__, _lemma4_oracle(s, pc)
+        assert got.pop("gamma_T") == pytest.approx(want.pop("gamma_T"), rel=1e-12)
+        assert got == want
 
 
 def test_check_lemma4_takes_no_svd_of_a(monkeypatch):
@@ -319,3 +327,87 @@ def test_check_lemma4_takes_no_svd_of_a(monkeypatch):
     check_lemma4(s, pc)
     assert seen  # the SVDs check_lemma4 does take go through the spy
     assert not any(a.shape == A.shape and np.array_equal(a, A) for a in seen)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+@pytest.mark.parametrize("kind,omega", [
+    ("symmetric_scaled", 1e-6), ("symmetric_scaled", 0.5), ("symmetric_scaled", 1e6),
+    ("triangular_split", 0.005), ("triangular_split", 0.5), ("triangular_split", 1.5),
+    ("triangular_split", 26.4),
+])
+def test_constraint_t_is_block_lower_triangular(nu, kind, omega):
+    # the premises of gamma_T from T[:n, :n], also beyond pd_bound: X B^T = 0
+    # and T[n:, n:] has only the eigenvalues 0 and 1
+    s = build_oseen(8, nu)
+    n = s.n
+    pc = constraint_pc(s, kind=kind, omega=omega, enforce_pd=False)
+    MdagA = apply_pseudo_inverse(pc, s.matrix().toarray())
+    assert np.abs(MdagA[:n, n:]).max() <= 1e-13 * np.abs(MdagA).max()
+    T = np.eye(n + s.m) - MdagA
+    lam = np.linalg.eigvals(T[n:, n:])
+    assert np.minimum(np.abs(lam), np.abs(lam - 1.0)).max() <= 1e-10
+    gamma_full = pseudospectral_radius(T)
+    assert pseudospectral_radius(T[:n, :n]) == pytest.approx(gamma_full, rel=1e-12)
+    assert check_lemma4(s, pc).gamma_T == pytest.approx(gamma_full, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+@pytest.mark.parametrize("family,kind,omega", [
+    (CONSTRAINT, "symmetric_scaled", 0.5), (CONSTRAINT, "triangular_split", 0.005),
+    (BLOCK_DIAG, "symmetric_scaled", 0.5), (BLOCK_DIAG, "triangular_split", 0.005),
+], ids=["I", "II", "III", "IV"])
+def test_null_vectors_are_left_null_vectors_of_mplus(nu, family, kind, omega):
+    # (M^+)^T (0; N) = 0 and A (0; N) = 0 make (0; N) a left and a right null
+    # vector of M^+ A, so rank(M^+ A) = n + m - d already implies index one
+    s = build_oseen(8, nu)
+    V = saddle_null_basis(s)
+    pc = build(s, family, PChoice(kind=kind, omega=omega))
+    assert not apply_pseudo_inverse_transpose(pc, V).any()
+    assert not (s.matrix() @ V).any()
+
+
+@pytest.mark.parametrize("family,kind,omega", [
+    (CONSTRAINT, "symmetric_scaled", 1.0), (CONSTRAINT, "triangular_split", 0.005),
+    (BLOCK_DIAG, "symmetric_scaled", 1.0), (BLOCK_DIAG, "triangular_split", 0.005),
+], ids=["I", "II", "III", "IV"])
+def test_check_lemma4_kernel_sizes(monkeypatch, family, kind, omega):
+    s = build_oseen(8, 0.1)
+    pc = build(s, family, PChoice(kind=kind, omega=omega))
+    svd_uv, eig_shapes = [], []
+    real_svd, real_eigvals = np.linalg.svd, np.linalg.eigvals
+
+    def svd_spy(a, *args, **kwargs):
+        svd_uv.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *args, **kwargs)
+
+    def eigvals_spy(a):
+        eig_shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
+    check_lemma4(s, pc)
+    assert svd_uv and not any(svd_uv)
+    n, size = s.n, s.n + s.m
+    # the constraint family's second n x n eig is gamma(X(P - W))
+    assert eig_shapes == ([(n, n)] * 2 if family == CONSTRAINT else [(size, size)])
+
+
+def test_check_lemma4_null_test_survives_a_tiny_last_singular_value():
+    # Case III at omega=1e6: sigma_r / sigma_1 = 3.1e-11, so an SVD null vector
+    # drifts past 1e-8 from (0; N), but ||M^+ A (0; N)|| / sigma_r = 2.2e-14
+    # bounds the true angle: the null spaces match
+    s = build_oseen(8, 0.001)
+    pc = build(s, BLOCK_DIAG, PChoice(omega=1e6))
+    assert check_lemma4(s, pc).lemma4_null_ok
+
+
+def test_check_lemma4_null_test_fails_on_a_velocity_null_vector():
+    # W e_4 = 0 and B e_4 = 0: (e_4; 0) is a null vector of A and of M^+ A
+    # outside {0} x null(B^T), so the null-space test reads False
+    W = np.diag([2.0, 1.0, 3.0, 0.0])
+    W[0, 1], W[1, 0] = 0.5, -0.5
+    B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+    s = SaddleSystem(W=W, B=B, f=np.zeros(4), g=np.zeros(3))
+    pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=np.eye(4)))
+    assert not check_lemma4(s, pc).lemma4_null_ok
