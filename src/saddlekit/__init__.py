@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .linalg import (
     LinAlgFailure,
     NotPositiveDefinite,
-    SvdFactors,
     pinv,
     pseudospectral_radius,
     spectral_norm,
-    svd,
 )
 from .problems import (
     SaddleSystem,
@@ -60,8 +58,8 @@ from .analysis import (
 
 __all__ = [
     "__version__",
-    "LinAlgFailure", "NotPositiveDefinite", "SvdFactors", "pinv",
-    "pseudospectral_radius", "spectral_norm", "svd",
+    "LinAlgFailure", "NotPositiveDefinite", "pinv",
+    "pseudospectral_radius", "spectral_norm",
     "SaddleSystem", "build_oseen", "build_random_singular", "make_consistent_rhs",
     "BLOCK_DIAG", "BLOCK_TRI", "CONSTRAINT", "PChoice", "Preconditioner",
     "SYMMETRIC_SCALED", "TRIANGULAR_SPLIT", "apply_pseudo_inverse",

@@ -4,11 +4,14 @@ Everything here computes on plain ``numpy.ndarray`` carriers (real, dense,
 row-major); a ``scipy.sparse`` argument is densified first.  Factorizations
 are delegated to LAPACK through numpy; the wrappers pin down the
 rank-truncation and tolerance conventions the rest of the package relies on.
+
+Every SVD goes through one wrapper, with one finiteness check and one
+failure type, and every rank through one cut (:func:`rank_of`).  The
+singular-vector results, :func:`null_basis` and :func:`pinv`, read thin
+factors; only the null basis of a wide matrix needs the full V.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -44,15 +47,6 @@ def _as_matrix(A) -> Array:
     return A
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full SVD ``A = U @ diag(s) @ V.T`` with U, V orthogonal."""
-
-    U: Array
-    singular_values: Array
-    V: Array
-
-
 def _lapack_svd(A: Array, **kwargs):
     A = _as_matrix(A)
     try:
@@ -61,27 +55,27 @@ def _lapack_svd(A: Array, **kwargs):
         raise LinAlgFailure(f"SVD did not converge for {A.shape[0]}x{A.shape[1]} matrix") from exc
 
 
-def svd(A: Array) -> SvdFactors:
-    """Full singular value decomposition, singular values nonincreasing."""
-    U, s, Vt = _lapack_svd(A, full_matrices=True)
-    return SvdFactors(U=U, singular_values=s, V=Vt.T)
+def null_basis(A: Array) -> Array:
+    """Orthonormal basis (columns) of null(A), from one SVD of A.
 
-
-def null_basis(f: SvdFactors) -> Array:
-    """Orthonormal basis of the null space from a full SVD."""
-    return f.V[:, rank_of(f.singular_values):]
+    The thin factors hold all of null(A) unless A has fewer rows than
+    columns; only then are the full factors formed.
+    """
+    A = _as_matrix(A)
+    _, s, Vt = _lapack_svd(A, full_matrices=A.shape[0] < A.shape[1])
+    return Vt[rank_of(s):].T
 
 
 def pinv(A: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
-    """Moore-Penrose inverse via SVD with relative rank truncation.
+    """Moore-Penrose inverse via a thin SVD with relative rank truncation.
 
     Singular values at or below ``rank_tol * s_max`` are treated as zero.
     """
     if not 0.0 < rank_tol < 1.0:
         raise ValueError("rank_tol must lie in (0, 1)")
-    f = svd(A)
-    r = rank_of(f.singular_values, rank_tol)
-    return (f.V[:, :r] * (1.0 / f.singular_values[:r])) @ f.U[:, :r].T
+    U, s, Vt = _lapack_svd(A, full_matrices=False)
+    r = rank_of(s, rank_tol)
+    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
 
 
 def eigenvalues(A: Array) -> Array:
@@ -127,19 +121,21 @@ def rank_of(s: Array, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def _sym_eig(A: Array) -> tuple[Array, Array]:
-    """eigh of A; raises unless max|A - A^T| <= 1e-12 max|A|."""
+    """eigh of an SPD A; raises unless max|A - A^T| <= 1e-12 max|A| and every
+    eigenvalue is positive."""
     A = _as_matrix(A)
     scale = np.abs(A).max(initial=0.0)
     if scale > 0 and np.abs(A - A.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(A)
+    w, V = np.linalg.eigh(A)
+    if w.min() <= 0.0:
+        raise NotPositiveDefinite("matrix not positive definite")
+    return w, V
 
 
 def sym_sqrt(A: Array) -> Array:
     """Symmetric square root of an SPD matrix."""
     w, V = _sym_eig(A)
-    if w.min() <= 0.0:
-        raise NotPositiveDefinite("matrix not positive definite")
     R = (V * np.sqrt(w)) @ V.T
     return 0.5 * (R + R.T)
 
@@ -147,7 +143,5 @@ def sym_sqrt(A: Array) -> Array:
 def sym_inv_sqrt(A: Array) -> Array:
     """Symmetric R with ``R @ A @ R = I`` for SPD A."""
     w, V = _sym_eig(A)
-    if w.min() <= 0.0:
-        raise NotPositiveDefinite("matrix not positive definite")
     R = (V / np.sqrt(w)) @ V.T
     return 0.5 * (R + R.T)

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .linalg import Array, LinAlgFailure, NotPositiveDefinite, spectral_norm
 from .problems import (SaddleSystem, lower_skew_part, null_basis_BT, skew_part,
@@ -67,8 +67,9 @@ class PChoice:
             raise ValueError("custom P kind needs an explicit matrix")
 
 
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
-    """Factorized preconditioner; immutable after :func:`build`.
+    """Factorized preconditioner, frozen: immutable after :func:`build`.
 
     It keeps what its applies read:
 
@@ -86,19 +87,24 @@ class Preconditioner:
     it) and never kept.
     """
 
-    def __init__(self, family, p_choice, make_p, B, P_lu=None, N=None, M_lu=None,
-                 pinned=None, h_sq_over_nu=None, BT=None):
-        self.family = family
-        self.p_choice = p_choice
-        self._make_p = make_p
-        self.P_lu = P_lu
-        self.B = B
-        self.N = N
-        self.M_lu = M_lu
-        self.pinned = pinned
-        self.h_sq_over_nu = h_sq_over_nu
-        self.BT = BT
-        self.m, self.n = B.shape
+    family: str
+    p_choice: PChoice
+    _make_p: partial
+    B: sps.csr_array
+    P_lu: SuperLU | None = None
+    N: Array | None = None
+    M_lu: SuperLU | None = None
+    pinned: Array | None = None
+    h_sq_over_nu: float | None = None
+    BT: sps.csr_array | None = None
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.B.shape[1]
 
     @property
     def P(self) -> Array:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sps
 
-from .linalg import Array, dense, null_basis, svd
+from .linalg import Array, dense, null_basis
 
 
 def wind_x(x, y):
@@ -62,8 +62,8 @@ class SaddleSystem:
     W and B are stored as ``scipy.sparse`` CSR arrays, whatever they are
     given as; the system caches nothing, and a caller that needs a dense
     block forms its own.  ``null_BT``, when given, is an orthonormal basis
-    (m x d) of null(B^T); without it :func:`null_basis_BT` takes one from an
-    SVD of B^T.
+    (m x d) of null(B^T); without it :func:`null_basis_BT` takes one from a
+    thin SVD of B^T.
     """
 
     W: sps.csr_array
@@ -109,10 +109,10 @@ class SaddleSystem:
 
 
 def null_basis_BT(system: SaddleSystem) -> Array:
-    """Orthonormal basis (m x d) of null(B^T): the recorded one, else one SVD of B^T."""
+    """Orthonormal basis (m x d) of null(B^T): the recorded one, else null_basis(B^T)."""
     if system.null_BT is not None:
         return system.null_BT
-    return null_basis(svd(system.B.T))
+    return null_basis(system.B.T)
 
 
 def saddle_null_basis(system: SaddleSystem) -> Array:

@@ -1,5 +1,6 @@
 """The block pseudoinverse formulas against SVD oracles."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -375,6 +376,16 @@ def test_no_family_keeps_e(family, kind):
     assert (pc.P_lu is not None) == (family != CONSTRAINT)  # the block families' P-solves
     assert pc.B is s.B  # the system's own CSR B, for the applies and assemble
     assert (pc.BT is not None) == (family == BLOCK_TRI)  # its back-substitution's B^T
+
+
+def test_preconditioner_is_frozen():
+    s = build_oseen(4, 0.1)
+    pc = build(s, BLOCK_DIAG, PChoice())
+    for name, value in (("M_lu", None), ("family", BLOCK_TRI), ("N", np.zeros((s.m, 1)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pc, name, value)
+    assert pc.M_lu is not None and pc.family == BLOCK_DIAG
+    assert (pc.m, pc.n) == s.B.shape == (s.m, s.n)
 
 
 # sha256 of assemble's (2,2) block E = B P^{-1} B^T on build_oseen(8, nu) with

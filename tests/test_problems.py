@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -16,8 +17,8 @@ from saddlekit import (
     make_consistent_rhs,
 )
 from saddlekit.linalg import numerical_rank
-from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, saddle_null_basis,
-                                skew_part, symmetric_part, wind_x, wind_y)
+from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, null_basis_BT,
+                                saddle_null_basis, skew_part, symmetric_part, wind_x, wind_y)
 
 
 class TestWind:
@@ -208,6 +209,9 @@ def _svd_null_spaces(A):
 @pytest.mark.parametrize("system", [
     *[pytest.param(("random", drop, seed), id=f"random-rank-m-{drop}-{seed}")
       for drop in (1, 2, 3) for seed in (0, 1)],
+    # m > n: null(B^T) has m - rank(B) >= m - n dimensions, more than the
+    # thin SVD factors of the wide B^T span
+    *[pytest.param(("wide", rank_b), id=f"wide-m-gt-n-rank-{rank_b}") for rank_b in (3, 5)],
     pytest.param(("oseen", 0.1), id="oseen8-0.1"),
     pytest.param(("oseen", 0.001), id="oseen8-0.001"),
 ])
@@ -215,6 +219,10 @@ def test_saddle_null_basis_matches_svd_of_a(system):
     if system[0] == "random":
         _, drop, seed = system
         s = build_random_singular(n=12, m=6, rank_b=6 - drop, seed=seed)
+    elif system[0] == "wide":
+        g = np.random.default_rng(system[1])
+        B = g.standard_normal((9, system[1])) @ g.standard_normal((system[1], 5))
+        s = SaddleSystem(W=np.eye(5), B=B, f=np.zeros(5), g=np.zeros(9))
     else:
         s = build_oseen(8, system[1])
     N = saddle_null_basis(s)
@@ -269,6 +277,20 @@ def test_recorded_null_basis_spans_svd_null_space(l):
         assert sla.subspace_angles(s.null_BT, oracle).max() <= 1e-10
         assert np.array_equal(saddle_null_basis(s)[s.n:], s.null_BT)
         assert np.array_equal(s.with_rhs(s.rhs()).null_BT, s.null_BT)
+
+
+def test_null_basis_bt_fallback_forms_no_n_by_n_array():
+    # without a recorded basis, one thin SVD of the n x m B^T stays below
+    # n(n+m) floats; a full SVD's n x n U on top of the dense B^T and V does not
+    s = dataclasses.replace(build_oseen(16, 0.1), null_BT=None)
+    tracemalloc.start()
+    try:
+        N = null_basis_BT(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N.shape == (s.m, 1)
+    assert peak < 8 * s.n * (s.n + s.m)
 
 
 def test_null_bt_shape_checked():
