@@ -69,42 +69,46 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
 
     null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
     it under the premise sym(W) > 0, a subset otherwise, so the null-space
-    test can only be stricter than one against an SVD of A.  Two identities
-    spare singular vectors and half of the eigenvalue work:
+    test can only be stricter than one against an SVD of A.  A (0; N) = 0,
+    so {0} x null(B^T) lies in null(M^+ A), and the two are equal iff
+    rank(M^+ A) = n + m - d; the null-space test compares dimensions only,
+    from singular values.  The block-diagonal family applies that rule, and
+    the index-one test rank(M^+ A) = rank((M^+ A)^2), to the whole M^+ A.
 
-    * A (0; N) = 0, so {0} x null(B^T) lies in null(M^+ A), and the two are
-      equal iff rank(M^+ A) = n + m - d; the null-space test compares
-      dimensions only.
-    * For the constraint family M^+ (B^T; 0) = (0; I - N N^T), so X B^T = 0
-      and T = [[I - X(P - W), 0], [*, N N^T]] is block lower triangular.  The
-      eigenvalues 0 and 1 of N N^T add nothing to the pseudospectral radius:
-      gamma_T is that of the leading n x n block.  The block-diagonal family
-      keeps the whole T.
+    The constraint family reads all three conditions from the n x n block
+    K = (M^+ A)[:n, :n].  Its premises: M^+ (B^T; 0) = (0; I - N N^T), so
+    X B^T = 0 and M^+ A = [[K, 0], [C, I - N N^T]]; (M^+)^T (0; N) = 0, so
+    N^T C = 0; and (M^+ M)[:n, :n] = I gives K = I - X(P - W).  Then
+
+    * dim null(M^+ A) = dim null(K) + d, so the null-space test holds iff
+      K is nonsingular (rank(K) = n);
+    * M^+ A has index at most one iff K does, which a nonsingular K has
+      (index 0); otherwise the test is rank(K) = rank(K^2);
+    * T = [[I - K, 0], [-C, N N^T]], and the eigenvalues 0 and 1 of N N^T
+      add nothing to the pseudospectral radius: gamma_T is gamma(I - K),
+      which is gamma(X(P - W)), so one eigenvalue solve gives both.
 
     ``gamma_XPW`` carries the caveat of :func:`gcp_convergence_indicator`:
     for the triangular split beyond ``pd_bound(W)`` it is set by rounding.
     """
     if pc.family not in (CONSTRAINT, BLOCK_DIAG):
         raise ValueError("convergence conditions apply to the singular families")
+    constraint = pc.family == CONSTRAINT
     A = system.matrix().toarray()
-    MdagA = apply_pseudo_inverse(pc, A)
-    rank = numerical_rank(MdagA)
-    null_ok = A.shape[0] - rank == saddle_null_basis(system).shape[1]
-    index_ok = rank == numerical_rank(MdagA @ MdagA)
-    k = pc.n if pc.family == CONSTRAINT else A.shape[0]
-    gamma_T = pseudospectral_radius(np.eye(k) - MdagA[:k, :k])
-
-    gamma_xpw = None
-    if pc.family == CONSTRAINT:
-        gamma_xpw = gcp_convergence_indicator(system, pc)
+    k = pc.n if constraint else A.shape[0]
+    K = apply_pseudo_inverse(pc, A[:, :k])[:k]  # K, or all of M^+ A (k = n + m)
+    rank = numerical_rank(K)
+    null_ok = k - rank == (0 if constraint else saddle_null_basis(system).shape[1])
+    index_ok = (constraint and null_ok) or rank == numerical_rank(K @ K)
+    gamma_T = pseudospectral_radius(np.eye(k) - K)
 
     ones = zeros = None
-    if pc.family == CONSTRAINT and pc.p_choice.kind == SYMMETRIC_SCALED:
+    if constraint and pc.p_choice.kind == SYMMETRIC_SCALED:
         ones, zeros, _ = projection_spectrum(system, pc)
 
     return SpectralReport(
         gamma_T=gamma_T,
-        gamma_XPW=gamma_xpw,
+        gamma_XPW=gamma_T if constraint else None,
         lemma4_null_ok=null_ok,
         lemma4_index_ok=index_ok,
         lemma4_gamma_ok=bool(gamma_T < 1.0),

@@ -302,13 +302,15 @@ def _lemma4_oracle(system, pc):
     (BLOCK_DIAG, "triangular_split", (0.005, 0.06)),
 ], ids=["I", "II", "III", "IV"])
 def test_check_lemma4_matches_full_svd_oracle(nu, family, kind, omegas):
-    # gamma_T of the constraint family comes from T's leading n x n block,
-    # which re-rounds it; every other field is bit-equal
+    # gamma_T and gamma_XPW of the constraint family come from T's leading
+    # n x n block, which re-rounds them; every other field is bit-equal
     s = build_oseen(8, nu)
     for omega in omegas:
         pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
         got, want = check_lemma4(s, pc).__dict__, _lemma4_oracle(s, pc)
         assert got.pop("gamma_T") == pytest.approx(want.pop("gamma_T"), rel=1e-12)
+        if family == CONSTRAINT:
+            assert got.pop("gamma_XPW") == pytest.approx(want.pop("gamma_XPW"), rel=1e-12)
         assert got == want
 
 
@@ -329,12 +331,23 @@ def test_check_lemma4_takes_no_svd_of_a(monkeypatch):
     assert not any(a.shape == A.shape and np.array_equal(a, A) for a in seen)
 
 
+def _full_matrix_rule(system, pc):
+    """(null_ok, index_ok) from ranks of the whole M^+ A and (M^+ A)^2."""
+    MdagA = apply_pseudo_inverse(pc, system.matrix().toarray())
+    rank = numerical_rank(MdagA)
+    d = saddle_null_basis(system).shape[1]
+    return MdagA.shape[0] - rank == d, rank == numerical_rank(MdagA @ MdagA)
+
+
+# constraint-family points at l=8, both nu, also beyond pd_bound
+CONSTRAINT_GRID = [("symmetric_scaled", 1e-6), ("symmetric_scaled", 0.5),
+                   ("symmetric_scaled", 1e6), ("triangular_split", 0.005),
+                   ("triangular_split", 0.5), ("triangular_split", 1.5),
+                   ("triangular_split", 26.4)]
+
+
 @pytest.mark.parametrize("nu", [0.1, 0.001])
-@pytest.mark.parametrize("kind,omega", [
-    ("symmetric_scaled", 1e-6), ("symmetric_scaled", 0.5), ("symmetric_scaled", 1e6),
-    ("triangular_split", 0.005), ("triangular_split", 0.5), ("triangular_split", 1.5),
-    ("triangular_split", 26.4),
-])
+@pytest.mark.parametrize("kind,omega", CONSTRAINT_GRID)
 def test_constraint_t_is_block_lower_triangular(nu, kind, omega):
     # the premises of gamma_T from T[:n, :n], also beyond pd_bound: X B^T = 0
     # and T[n:, n:] has only the eigenvalues 0 and 1
@@ -349,6 +362,54 @@ def test_constraint_t_is_block_lower_triangular(nu, kind, omega):
     gamma_full = pseudospectral_radius(T)
     assert pseudospectral_radius(T[:n, :n]) == pytest.approx(gamma_full, rel=1e-12)
     assert check_lemma4(s, pc).gamma_T == pytest.approx(gamma_full, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,kind,omega", [
+    (nu, kind, omega) for nu in (0.1, 0.001) for kind, omega in CONSTRAINT_GRID
+    # the full-matrix rule counts sigma_r(M^+ A) / sigma_1 = 1.7e-13 as zero here
+    if (nu, kind, omega) != (0.1, "symmetric_scaled", 1e6)
+])
+def test_constraint_null_space_from_the_n_by_n_block(nu, kind, omega):
+    # dim null(M^+ A) = dim null(K) + d with K = (M^+ A)[:n, :n]
+    s = build_oseen(8, nu)
+    n, d = s.n, saddle_null_basis(s).shape[1]
+    pc = constraint_pc(s, kind=kind, omega=omega, enforce_pd=False)
+    MdagA = apply_pseudo_inverse(pc, s.matrix().toarray())
+    assert n - numerical_rank(MdagA[:n, :n]) == n + s.m - numerical_rank(MdagA) - d
+
+
+@pytest.mark.parametrize("nu,omega,full_rule,ratio", [
+    (0.1, 1e-6, (True, False), 6.34e-7), (0.1, 1e6, (False, True), 8.70e-7),
+    (0.001, 1e-6, (True, False), 2.13e-10), (0.001, 1e6, (True, False), 8.33e-7),
+])
+def test_check_lemma4_case1_verdicts_the_full_matrix_rule_misreads(nu, omega, full_rule, ratio):
+    # K = (M^+ A)[:n, :n] has sigma_min / sigma_max = ratio, above the 1e-12
+    # rank cut: K is nonsingular and both tests hold.  The full-matrix rule
+    # misreads each point: at three, (M^+ A)^2 squares those singular values
+    # below the cut (index_ok False); at nu=0.1, omega=1e6 it counts
+    # sigma_r(M^+ A) / sigma_1 = 1.7e-13 as zero (null_ok False)
+    s = build_oseen(8, nu)
+    pc = constraint_pc(s, omega=omega)
+    report = check_lemma4(s, pc)
+    assert report.lemma4_null_ok and report.lemma4_index_ok
+    assert _full_matrix_rule(s, pc) == full_rule
+    K = apply_pseudo_inverse(pc, s.matrix().toarray())[:s.n, :s.n]
+    sv = np.linalg.svd(K, compute_uv=False)
+    assert sv[-1] / sv[0] == pytest.approx(ratio, rel=1e-2)
+    assert numerical_rank(K) == s.n > numerical_rank(K @ K)
+
+
+@pytest.mark.parametrize("nu,kind,omega", [
+    (0.1, "symmetric_scaled", 1.50), (0.1, "triangular_split", 0.06),
+    (0.001, "symmetric_scaled", 26.40), (0.001, "triangular_split", 0.06),
+], ids=["0.1-I", "0.1-II", "0.001-I", "0.001-II"])
+def test_check_lemma4_constraint_points_of_the_l16_analysis(nu, kind, omega):
+    # the constraint-family points of the analyze16 benchmark workload
+    s = build_oseen(16, nu)
+    pc = constraint_pc(s, kind=kind, omega=omega, enforce_pd=False)
+    report = check_lemma4(s, pc)
+    assert report.gamma_XPW == pytest.approx(gcp_convergence_indicator(s, pc), rel=1e-12)
+    assert (report.lemma4_null_ok, report.lemma4_index_ok) == _full_matrix_rule(s, pc)
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.001])
@@ -373,11 +434,12 @@ def test_null_vectors_are_left_null_vectors_of_mplus(nu, family, kind, omega):
 def test_check_lemma4_kernel_sizes(monkeypatch, family, kind, omega):
     s = build_oseen(8, 0.1)
     pc = build(s, family, PChoice(kind=kind, omega=omega))
-    svd_uv, eig_shapes = [], []
+    svd_uv, svd_shapes, eig_shapes = [], [], []
     real_svd, real_eigvals = np.linalg.svd, np.linalg.eigvals
 
     def svd_spy(a, *args, **kwargs):
         svd_uv.append(kwargs.get("compute_uv", True))
+        svd_shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
     def eigvals_spy(a):
@@ -389,8 +451,10 @@ def test_check_lemma4_kernel_sizes(monkeypatch, family, kind, omega):
     check_lemma4(s, pc)
     assert svd_uv and not any(svd_uv)
     n, size = s.n, s.n + s.m
-    # the constraint family's second n x n eig is gamma(X(P - W))
-    assert eig_shapes == ([(n, n)] * 2 if family == CONSTRAINT else [(size, size)])
+    # the constraint family's one n x n eig gives gamma_T and gamma(X(P - W))
+    assert eig_shapes == ([(n, n)] if family == CONSTRAINT else [(size, size)])
+    if family == CONSTRAINT:
+        assert set(svd_shapes) == {(n, n)}
 
 
 def test_check_lemma4_null_test_survives_a_tiny_last_singular_value():
@@ -404,10 +468,13 @@ def test_check_lemma4_null_test_survives_a_tiny_last_singular_value():
 
 def test_check_lemma4_null_test_fails_on_a_velocity_null_vector():
     # W e_4 = 0 and B e_4 = 0: (e_4; 0) is a null vector of A and of M^+ A
-    # outside {0} x null(B^T), so the null-space test reads False
+    # outside {0} x null(B^T), so the null-space test reads False; the
+    # index test on K = (M^+ A)[:n, :n] agrees with the one on M^+ A
     W = np.diag([2.0, 1.0, 3.0, 0.0])
     W[0, 1], W[1, 0] = 0.5, -0.5
     B = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
     s = SaddleSystem(W=W, B=B, f=np.zeros(4), g=np.zeros(3))
     pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=np.eye(4)))
-    assert not check_lemma4(s, pc).lemma4_null_ok
+    report = check_lemma4(s, pc)
+    assert not report.lemma4_null_ok
+    assert report.lemma4_index_ok == _full_matrix_rule(s, pc)[1]
