@@ -28,8 +28,7 @@ from .linalg import (
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
                       Preconditioner, apply_pseudo_inverse, check_h_spd)
 from .precond import pd_bound  # noqa: F401  (re-exported beside the omega bounds)
-from .problems import (SaddleSystem, lower_skew_part, saddle_null_basis, skew_part,
-                       symmetric_part)
+from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
 
 
 @dataclass
@@ -67,9 +66,10 @@ def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner) -> float
 def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
     """Evaluate the three convergence conditions for T = I - M^+ A.
 
-    null(A) is taken as {0} x null(B^T) (:func:`saddle_null_basis`): all of
-    it under the premise sym(W) > 0, a subset otherwise, so the null-space
-    test can only be stricter than one against an SVD of A.  A (0; N) = 0,
+    null(A) is taken as {0} x null(B^T), of dimension d = the number of
+    columns of ``system.null_BT``: all of it under the premise sym(W) > 0
+    (see :class:`SaddleSystem`), a subset otherwise, so the null-space test
+    can only be stricter than one against an SVD of A.  A (0; N) = 0,
     so {0} x null(B^T) lies in null(M^+ A), and the two are equal iff
     rank(M^+ A) = n + m - d; the null-space test compares dimensions only,
     from singular values.  The block-diagonal family applies that rule, and
@@ -98,7 +98,7 @@ def check_lemma4(system: SaddleSystem, pc: Preconditioner) -> SpectralReport:
     k = pc.n if constraint else A.shape[0]
     K = apply_pseudo_inverse(pc, A[:, :k])[:k]  # K, or all of M^+ A (k = n + m)
     rank = numerical_rank(K)
-    null_ok = k - rank == (0 if constraint else saddle_null_basis(system).shape[1])
+    null_ok = k - rank == (0 if constraint else system.null_BT.shape[1])
     index_ok = (constraint and null_ok) or rank == numerical_rank(K @ K)
     gamma_T = pseudospectral_radius(np.eye(k) - K)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,8 +32,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import SuperLU, splu
 
 from .linalg import Array, LinAlgFailure, NotPositiveDefinite, spectral_norm
-from .problems import (SaddleSystem, lower_skew_part, null_basis_BT, skew_part,
-                       symmetric_part)
+from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
 
 CONSTRAINT = "constraint"
 BLOCK_DIAG = "block_diag"
@@ -71,28 +69,24 @@ class PChoice:
 class Preconditioner:
     """Factorized preconditioner, frozen: immutable after :func:`build`.
 
-    It keeps what its applies read:
+    It reads W, B and the basis N = ``null_BT`` of null(B^T) from its
+    ``system``, and keeps what :func:`build` computes:
 
     * constraint: ``M_lu``, one sparse LU of the pinned M (see :func:`build`),
-      with the basis N of null(B^T) and the pinned rows; no factor of P
-      (``P_lu`` is None);
+      and the pinned rows; no factor of P (``P_lu`` is None);
     * block-diagonal: ``P_lu``, one sparse LU of P (its P-solves), and the
-      constraint family's ``M_lu`` with N and the pinned rows (its E^+);
+      constraint family's ``M_lu`` and pinned rows (its E^+);
     * block-triangular: ``P_lu``, h^2/nu and ``BT``, the CSR B^T formed
       once at build for the back-substitution.
 
-    None keeps E, a dense factor, a dense B or an n x n array.  ``B`` is the
-    system's own CSR B, read by the block-triangular back-substitution and
-    by :func:`assemble`.  P is formed sparse on each read (``P`` densifies
-    it) and never kept.
+    None keeps E, a dense factor, a dense B or an n x n array.  P is formed
+    sparse from W on each read (``P`` densifies it) and never kept.
     """
 
     family: str
     p_choice: PChoice
-    _make_p: partial
-    B: sps.csr_array
+    system: SaddleSystem
     P_lu: SuperLU | None = None
-    N: Array | None = None
     M_lu: SuperLU | None = None
     pinned: Array | None = None
     h_sq_over_nu: float | None = None
@@ -100,16 +94,16 @@ class Preconditioner:
 
     @property
     def m(self) -> int:
-        return self.B.shape[0]
+        return self.system.m
 
     @property
     def n(self) -> int:
-        return self.B.shape[1]
+        return self.system.n
 
     @property
     def P(self) -> Array:
         """The dense (1,1) block, formed on each read and never kept."""
-        return self._make_p().toarray()
+        return _p_matrix(self.system.W, self.p_choice).toarray()
 
     def p_solve(self, x: Array, trans: str = "N") -> Array:
         """Apply P^{-1} (trans="N") or P^{-T} (trans="T") to a vector or a
@@ -255,8 +249,7 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
                              f"omega={omega:g} >= 1/||L_s||_2 = {bound:g}")
     if p_choice.kind == SYMMETRIC_SCALED:
         check_h_spd(W)
-    make_p = partial(_p_matrix, W, p_choice)
-    P = make_p()
+    P = _p_matrix(W, p_choice)
     P_lu = None if family == CONSTRAINT else _p_lu(P)
     if family == BLOCK_TRI:
         if system.h is not None and system.nu is not None:
@@ -265,13 +258,11 @@ def build(system: SaddleSystem, family: str, p_choice: PChoice,
             h_sq_over_nu = 1.0
         # CSR B^T gives the same bits as the CSC view B.T: both add each
         # output entry's terms in ascending column order
-        return Preconditioner(family, p_choice, make_p, system.B, P_lu,
+        return Preconditioner(family, p_choice, system, P_lu,
                               h_sq_over_nu=h_sq_over_nu, BT=system.B.T.tocsr())
-    N = null_basis_BT(system)
-    pinned = _pinned_rows(N)
+    pinned = _pinned_rows(system.null_BT)
     M_lu = _pinned_lu(_constraint_matrix(P, system.B), system.n + pinned)
-    return Preconditioner(family, p_choice, make_p, system.B, P_lu, N=N, M_lu=M_lu,
-                          pinned=pinned)
+    return Preconditioner(family, p_choice, system, P_lu, M_lu=M_lu, pinned=pinned)
 
 
 def _remove_null(x: Array, N: Array) -> None:
@@ -282,11 +273,11 @@ def _remove_null(x: Array, N: Array) -> None:
 def _constraint_solve(pc: Preconditioner, c: Array, trans: str) -> Array:
     """M^+ c (trans="N") or (M^+)^T c (trans="T") from the pinned LU; c is a
     fresh vector or column block, overwritten."""
-    n = pc.n
-    _remove_null(_finite(c)[n:], pc.N)
+    n, N = pc.n, pc.system.null_BT
+    _remove_null(_finite(c)[n:], N)
     c[n + pc.pinned] = 0.0
     y = pc.M_lu.solve(c, trans=trans)
-    _remove_null(y[n:], pc.N)
+    _remove_null(y[n:], N)
     return y
 
 
@@ -309,7 +300,7 @@ def _apply(pc: Preconditioner, r: Array, trans: str) -> Array:
         y1 = pc.p_solve(r1 - pc.BT @ y2)
     else:  # forward substitution, in which r2 meets no P-solve that checks it
         y1 = pc.p_solve(r1, "T")
-        y2 = (_finite(r2) - pc.B @ y1) / pc.h_sq_over_nu
+        y2 = (_finite(r2) - pc.system.B @ y1) / pc.h_sq_over_nu
     return np.concatenate([y1, y2])
 
 
@@ -325,15 +316,16 @@ def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
 
 def assemble(pc: Preconditioner) -> Array:
     """Explicit dense (n+m) x (n+m) preconditioner matrix, scattered from its sparse blocks."""
-    n, m = pc.n, pc.m
+    n, m, B = pc.n, pc.m, pc.system.B
+    P = _p_matrix(pc.system.W, pc.p_choice)
     M = np.zeros((n + m, n + m))
     if pc.family == CONSTRAINT:
-        blocks = _constraint_matrix(pc._make_p(), pc.B)
+        blocks = _constraint_matrix(P, B)
     elif pc.family == BLOCK_DIAG:
-        blocks = pc._make_p().tocoo()
-        M[n:, n:] = _schur_complement(pc.B, pc.p_solve)
+        blocks = P.tocoo()
+        M[n:, n:] = _schur_complement(B, pc.p_solve)
     else:
-        blocks = sps.block_array([[pc._make_p(), pc.BT],
+        blocks = sps.block_array([[P, pc.BT],
                                   [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="coo")
     M[blocks.row, blocks.col] = blocks.data
     return M

@@ -60,10 +60,16 @@ class SaddleSystem:
     """The block system [[W, B^T], [-B, 0]] (u; p) = (f; g).
 
     W and B are stored as ``scipy.sparse`` CSR arrays, whatever they are
-    given as; the system caches nothing, and a caller that needs a dense
-    block forms its own.  ``null_BT``, when given, is an orthonormal basis
-    (m x d) of null(B^T); without it :func:`null_basis_BT` takes one from a
-    thin SVD of B^T.
+    given as; a caller that needs a dense block forms its own.  Every system
+    records ``null_BT``, an orthonormal basis (m x d) of null(B^T): the one
+    given, else one from a thin SVD of B^T at construction.  A malformed
+    block (W not n x n, B without n columns, f or g of the wrong length) is
+    refused before that SVD.
+
+    {0} x null(B^T) lies in the null space of A and of A^T.  When sym(W) is
+    positive definite it is all of both: A (u; p) = 0 gives
+    u^T W u = -(B u)^T p = 0, so u = 0 and B^T p = 0, and likewise for A^T.
+    Without that premise it spans a subspace of both.
     """
 
     W: sps.csr_array
@@ -80,9 +86,15 @@ class SaddleSystem:
             if not isinstance(M, sps.csr_array):
                 M = sps.csr_array(M, dtype=float) if sps.issparse(M) else sps.csr_array(dense(M))
                 object.__setattr__(self, name, M)
-        if self.null_BT is not None and (np.ndim(self.null_BT) != 2
-                                         or np.shape(self.null_BT)[0] != self.m):
-            raise ValueError(f"null_BT must be an m x d array with m = {self.m}")
+        n, m = self.n, self.m
+        for name, want in (("W", (n, n)), ("B", (m, n)), ("f", (n,)), ("g", (m,))):
+            if np.shape(getattr(self, name)) != want:
+                raise ValueError(f"{name} must have shape {want} (n = {n}, m = {m}), "
+                                 f"got {np.shape(getattr(self, name))}")
+        if self.null_BT is None:
+            object.__setattr__(self, "null_BT", null_basis(self.B.T))
+        elif np.ndim(self.null_BT) != 2 or np.shape(self.null_BT)[0] != m:
+            raise ValueError(f"null_BT must be an m x d array with m = {m}")
 
     @property
     def n(self) -> int:
@@ -106,25 +118,6 @@ class SaddleSystem:
     def with_rhs(self, b: Array) -> "SaddleSystem":
         return SaddleSystem(W=self.W, B=self.B, f=b[: self.n], g=b[self.n :],
                             l=self.l, nu=self.nu, null_BT=self.null_BT)
-
-
-def null_basis_BT(system: SaddleSystem) -> Array:
-    """Orthonormal basis (m x d) of null(B^T): the recorded one, else null_basis(B^T)."""
-    if system.null_BT is not None:
-        return system.null_BT
-    return null_basis(system.B.T)
-
-
-def saddle_null_basis(system: SaddleSystem) -> Array:
-    """Orthonormal basis of {0} x null(B^T), with null(B^T) from :func:`null_basis_BT`.
-
-    (0, y) with B^T y = 0 lies in the null space of A and of A^T.  When
-    sym(W) is positive definite these are the whole null spaces: A (u; p) = 0
-    gives u^T W u = -(B u)^T p = 0, so u = 0 and B^T p = 0, and likewise
-    for A^T.  Without that premise the basis spans a subspace of both.
-    """
-    N = null_basis_BT(system)
-    return np.vstack([np.zeros((system.n, N.shape[1])), N])
 
 
 def _velocity_ids(l: int, axis: int) -> Array:

@@ -276,9 +276,16 @@ _SOLVERS = {"gcp": gcp_iterate, "stationary": gcp_iterate,
             "gmres": gmres_restarted, "qmr": qmr}
 
 
+def _solver(name: str):
+    """The solver called ``name``; an unknown name is a ValueError."""
+    if name not in _SOLVERS:
+        raise ValueError(f"unknown solver {name!r}; known: {', '.join(_SOLVERS)}")
+    return _SOLVERS[name]
+
+
 def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str = "") -> IterationReport:
     """Run one solver by name."""
-    return _SOLVERS[solver](system, pc, cfg, case_label)
+    return _solver(solver)(system, pc, cfg, case_label)
 
 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
@@ -286,7 +293,7 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
                 cfg: SolveConfig | None = None, case_label: str = "") -> list[IterationReport]:
     """One report per omega, in grid order; failures are flagged, not raised.
 
-    An unknown family or P kind, or an omega outside (0, inf), is a
+    An unknown family, P kind or solver, or an omega outside (0, inf), is a
     ValueError before any build.  Each omega builds without the PD gate; one
     whose preconditioner cannot be built (``build`` raises ValueError or
     LinAlgFailure) gets an ``infeasible`` report.  An indefinite sym(W)
@@ -294,6 +301,7 @@ def omega_sweep(system: SaddleSystem, family: str, p_kind: str,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown preconditioner family {family!r}")
+    _solver(solver)
     choices = [PChoice(kind=p_kind, omega=omega) for omega in omega_grid]
     if not choices:
         raise ValueError("omega grid must be nonempty")

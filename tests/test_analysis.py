@@ -27,7 +27,6 @@ from saddlekit import (
     pseudospectral_radius,
 )
 from saddlekit.linalg import numerical_rank, pinv, sym_inv_sqrt
-from saddlekit.problems import saddle_null_basis
 from saddlekit.solvers import SolveConfig, solve_with
 
 
@@ -335,7 +334,7 @@ def _full_matrix_rule(system, pc):
     """(null_ok, index_ok) from ranks of the whole M^+ A and (M^+ A)^2."""
     MdagA = apply_pseudo_inverse(pc, system.matrix().toarray())
     rank = numerical_rank(MdagA)
-    d = saddle_null_basis(system).shape[1]
+    d = system.null_BT.shape[1]
     return MdagA.shape[0] - rank == d, rank == numerical_rank(MdagA @ MdagA)
 
 
@@ -372,7 +371,7 @@ def test_constraint_t_is_block_lower_triangular(nu, kind, omega):
 def test_constraint_null_space_from_the_n_by_n_block(nu, kind, omega):
     # dim null(M^+ A) = dim null(K) + d with K = (M^+ A)[:n, :n]
     s = build_oseen(8, nu)
-    n, d = s.n, saddle_null_basis(s).shape[1]
+    n, d = s.n, s.null_BT.shape[1]
     pc = constraint_pc(s, kind=kind, omega=omega, enforce_pd=False)
     MdagA = apply_pseudo_inverse(pc, s.matrix().toarray())
     assert n - numerical_rank(MdagA[:n, :n]) == n + s.m - numerical_rank(MdagA) - d
@@ -421,7 +420,7 @@ def test_null_vectors_are_left_null_vectors_of_mplus(nu, family, kind, omega):
     # (M^+)^T (0; N) = 0 and A (0; N) = 0 make (0; N) a left and a right null
     # vector of M^+ A, so rank(M^+ A) = n + m - d already implies index one
     s = build_oseen(8, nu)
-    V = saddle_null_basis(s)
+    V = np.vstack([np.zeros((s.n, s.null_BT.shape[1])), s.null_BT])
     pc = build(s, family, PChoice(kind=kind, omega=omega))
     assert not apply_pseudo_inverse_transpose(pc, V).any()
     assert not (s.matrix() @ V).any()

@@ -12,6 +12,10 @@ BENCHMARK_NAMES = [
     "solve_with", "SolveConfig", "check_lemma4",
     "omega_bound_symmetric", "omega_bound_triangular", "pd_bound",
 ]
+# the attributes of a built Preconditioner perfbench reads: workloads.null_vector
+# and the tracer's apply tag read ``family``; the tracer's build tag reads the
+# ``kind`` of the PChoice a preconditioner is built from, kept as ``p_choice``
+PRECONDITIONER_ATTRS = ["family", "p_choice"]
 # the module attributes perfbench/tracing.py wraps: the package looks them up
 # at call time, so a renamed one drops its spans without any error
 TRACED_LOOKUPS = {
@@ -29,6 +33,14 @@ def test_benchmark_names_exported():
     assert [name for name in BENCHMARK_NAMES if name not in saddlekit.__all__] == []
     assert callable(saddlekit.SaddleSystem.matrix)
     assert callable(cli.main)
+
+
+def test_preconditioner_attrs_perfbench_reads():
+    s = saddlekit.build_oseen(4, 0.1)
+    for family in (saddlekit.CONSTRAINT, saddlekit.BLOCK_DIAG, saddlekit.BLOCK_TRI):
+        pc = saddlekit.build(s, family, saddlekit.PChoice())
+        assert [name for name in PRECONDITIONER_ATTRS if not hasattr(pc, name)] == []
+        assert (pc.family, pc.p_choice.kind) == (family, saddlekit.SYMMETRIC_SCALED)
 
 
 def test_traced_lookups_exist():

@@ -204,7 +204,7 @@ def test_block_tri_stored_bt_keeps_every_bit(l, nu, kind, omega):
     g = np.random.default_rng(l or 0)
     for r in (g.standard_normal(s.n + s.m), g.standard_normal((s.n + s.m, 3))):
         r1, y2 = r[:s.n], r[s.n:] / pc.h_sq_over_nu
-        expected = np.concatenate([pc.p_solve(r1 - pc.B.T @ y2), y2])
+        expected = np.concatenate([pc.p_solve(r1 - pc.system.B.T @ y2), y2])
         assert np.array_equal(apply_pseudo_inverse(pc, r), expected)
 
 
@@ -337,7 +337,7 @@ def test_constraint_build_holds_no_square_array(kind, omega):
     finally:
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
-    assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
+    assert all(a.size <= s.m for a in arrays)  # the pinned rows only
     # the sparse LU of the pinned M is a small fraction of one dense n x n array
     assert kept - base <= 0.25 * 8 * s.n * s.n
 
@@ -374,8 +374,21 @@ def test_no_family_keeps_e(family, kind):
     # both singular families keep the pinned LU of M, the block-diagonal one for E^+
     assert (pc.M_lu is not None) == (family != BLOCK_TRI)
     assert (pc.P_lu is not None) == (family != CONSTRAINT)  # the block families' P-solves
-    assert pc.B is s.B  # the system's own CSR B, for the applies and assemble
+    assert pc.system is s  # its own W, B and null(B^T), for the applies and assemble
     assert (pc.BT is not None) == (family == BLOCK_TRI)  # its back-substitution's B^T
+
+
+def test_build_reads_the_recorded_basis(monkeypatch):
+    # null(B^T) is recorded when the system is constructed: no build takes an SVD
+    s = build_random_singular(8, 4, 3, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD on the build path")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for family in FAMILIES:
+        pc = build(s, family, PChoice(kind=SYMMETRIC_SCALED))
+        assert pc.system is s
 
 
 def test_preconditioner_is_frozen():
@@ -571,9 +584,9 @@ def test_block_diag_build_holds_no_square_array(family, kind, omega):
     finally:
         tracemalloc.stop()
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
-    assert all(a.size <= s.m for a in arrays)  # N and the pinned rows only
-    # N, with room for small objects: no dense B (m x n) is kept, not even
-    # inside the P-solves
+    assert all(a.size <= s.m for a in arrays)  # the pinned rows only
+    # the pinned rows, with room for small objects: no dense B (m x n) is
+    # kept, not even inside the P-solves
     assert kept - base <= sum(a.nbytes for a in arrays) + 64 * 1024
     assert peak - base < square
 

@@ -16,9 +16,9 @@ from saddlekit import (
     build_random_singular,
     make_consistent_rhs,
 )
-from saddlekit.linalg import numerical_rank
-from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, null_basis_BT,
-                                saddle_null_basis, skew_part, symmetric_part, wind_x, wind_y)
+from saddlekit.linalg import null_basis, numerical_rank
+from saddlekit.problems import (_assemble_oseen, export, lower_skew_part, skew_part,
+                                symmetric_part, wind_x, wind_y)
 
 
 class TestWind:
@@ -225,8 +225,7 @@ def test_saddle_null_basis_matches_svd_of_a(system):
         s = SaddleSystem(W=np.eye(5), B=B, f=np.zeros(5), g=np.zeros(9))
     else:
         s = build_oseen(8, system[1])
-    N = saddle_null_basis(s)
-    assert np.all(N[: s.n] == 0.0)
+    N = np.vstack([np.zeros((s.n, s.null_BT.shape[1])), s.null_BT])  # {0} x null(B^T)
     for oracle in _svd_null_spaces(s.matrix().toarray()):
         assert N.shape[1] == oracle.shape[1] >= 1
         assert sla.subspace_angles(N, oracle).max() <= 1e-10
@@ -258,7 +257,8 @@ def test_sparse_blocks_not_densified(convert, monkeypatch):
         raise AssertionError("sparse input expanded to a dense array")
 
     monkeypatch.setattr(convert, "toarray", refuse)
-    s = SaddleSystem(W=convert(W), B=convert(B), f=ref.f, g=ref.g)
+    # the given basis spares construction its SVD, which densifies B^T
+    s = SaddleSystem(W=convert(W), B=convert(B), f=ref.f, g=ref.g, null_BT=ref.null_BT)
     monkeypatch.undo()
     for got, want in ((s.W, expected.W), (s.B, expected.B)):
         assert isinstance(got, sps.csr_array)
@@ -275,22 +275,45 @@ def test_recorded_null_basis_spans_svd_null_space(l):
         oracle = Vt.T[:, sv <= 1e-12 * sv[0]]
         assert oracle.shape == (s.m, 1)
         assert sla.subspace_angles(s.null_BT, oracle).max() <= 1e-10
-        assert np.array_equal(saddle_null_basis(s)[s.n:], s.null_BT)
         assert np.array_equal(s.with_rhs(s.rhs()).null_BT, s.null_BT)
 
 
 def test_null_basis_bt_fallback_forms_no_n_by_n_array():
-    # without a recorded basis, one thin SVD of the n x m B^T stays below
-    # n(n+m) floats; a full SVD's n x n U on top of the dense B^T and V does not
-    s = dataclasses.replace(build_oseen(16, 0.1), null_BT=None)
+    # without a given basis, construction's one thin SVD of the n x m B^T
+    # stays below n(n+m) floats; a full SVD's n x n U on top of the dense
+    # B^T and V does not
+    ref = build_oseen(16, 0.1)
     tracemalloc.start()
     try:
-        N = null_basis_BT(s)
+        s = dataclasses.replace(ref, null_BT=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert N.shape == (s.m, 1)
+    assert s.null_BT.shape == (s.m, 1)
     assert peak < 8 * s.n * (s.n + s.m)
+
+
+def test_every_system_records_null_bt():
+    # without a given basis, construction records null_basis(B^T) of the
+    # stored CSR B, and with_rhs hands the same array on
+    s = build_random_singular(8, 4, 3, 0)
+    assert np.array_equal(s.null_BT, null_basis(s.B.T))
+    assert s.null_BT.shape == (4, 1)
+    assert s.with_rhs(s.rhs()).null_BT is s.null_BT
+
+
+@pytest.mark.parametrize("block", ["W", "B", "f", "g"])
+def test_malformed_block_refused_before_the_svd(block, monkeypatch):
+    good = dict(W=3.0 * np.eye(4), B=np.ones((2, 4)), f=np.zeros(4), g=np.zeros(2))
+    bad = {"W": np.eye(4, 3), "B": np.ones((2, 3)), "f": np.zeros(3), "g": np.zeros(3)}
+    SaddleSystem(**good)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD taken before the shape check")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    with pytest.raises(ValueError, match=f"^{block} must have shape"):
+        SaddleSystem(**{**good, block: bad[block]})
 
 
 def test_null_bt_shape_checked():

@@ -203,6 +203,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             omega_sweep(saddle(22), family, kind, [0.5, omega])
 
+    def test_unknown_solver_raises_before_any_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a preconditioner for an unknown solver")
+
+        monkeypatch.setattr(solvers, "build", no_build)
+        with pytest.raises(ValueError, match="unknown solver 'foo'; known: gcp, stationary"):
+            omega_sweep(saddle(22), CONSTRAINT, "symmetric_scaled", [0.5, 1.0], solver="foo")
+
     def test_indefinite_h_raises(self):
         # the SPD check on H does not depend on omega: no omega is infeasible
         s = build_oseen(4, 0.001)
@@ -231,6 +239,12 @@ def test_report_derives_converged_and_final_res():
         done.converged = False
     with pytest.raises(AttributeError):
         done.final_res = 0.0
+
+
+def test_solve_with_unknown_solver():
+    s = saddle(24)
+    with pytest.raises(ValueError, match="unknown solver 'foo'; known: gcp, stationary, gmres, qmr"):
+        solve_with("foo", s, default_pc(s))
 
 
 def test_solve_with_maps_divergence():
