@@ -39,10 +39,7 @@ from .solvers import (
     IterationReport,
     SolveConfig,
     best_report,
-    gcp_iterate,
-    gmres_restarted,
     omega_sweep,
-    qmr,
     solve_with,
 )
 from .analysis import (
@@ -64,8 +61,7 @@ __all__ = [
     "BLOCK_DIAG", "BLOCK_TRI", "CONSTRAINT", "PChoice", "Preconditioner",
     "SYMMETRIC_SCALED", "TRIANGULAR_SPLIT", "apply_pseudo_inverse",
     "apply_pseudo_inverse_transpose", "assemble", "build", "pd_bound",
-    "IterationReport", "SolveConfig", "best_report", "gcp_iterate",
-    "gmres_restarted", "omega_sweep", "qmr", "solve_with",
+    "IterationReport", "SolveConfig", "best_report", "omega_sweep", "solve_with",
     "SpectralReport", "check_lemma4", "compute_X",
     "gcp_convergence_indicator", "norm_certificates",
     "omega_bound_symmetric", "omega_bound_triangular", "projection_spectrum",

@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .precond import (CONSTRAINT, BLOCK_DIAG, SYMMETRIC_SCALED, TRIANGULAR_SPLIT,
                       Preconditioner, apply_pseudo_inverse, check_h_spd)
-from .precond import pd_bound  # noqa: F401  (re-exported beside the omega bounds)
 from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
 
 
@@ -43,7 +42,7 @@ class SpectralReport:
     omega_used: float
 
 
-def compute_X(system: SaddleSystem, pc: Preconditioner) -> Array:
+def compute_X(pc: Preconditioner) -> Array:
     """The n x n matrix X = P^{-1} - P^{-1} B^T E^+ B P^{-1}, the (1,1) block of M^+."""
     if pc.family != CONSTRAINT:
         raise ValueError("X is defined for the constraint family only")
@@ -59,7 +58,7 @@ def gcp_convergence_indicator(system: SaddleSystem, pc: Preconditioner) -> float
     algebraically equal products for X give different gamma.  Nothing here
     flags it; ``saddlekit analyze`` refuses such omega.
     """
-    X = compute_X(system, pc)
+    X = compute_X(pc)
     return pseudospectral_radius(X @ (pc.P - dense(system.W)))
 
 
@@ -126,7 +125,7 @@ def projection_spectrum(system: SaddleSystem, pc: Preconditioner) -> tuple[int, 
     """
     if pc.p_choice.kind != SYMMETRIC_SCALED:
         raise ValueError("projection spectrum requires a symmetric positive definite P")
-    X = compute_X(system, pc)
+    X = compute_X(pc)
     R = sym_sqrt(pc.P)
     RXR = R @ X @ R
     w = np.linalg.eigvalsh(0.5 * (RXR + RXR.T))
@@ -181,7 +180,7 @@ def norm_certificates(system: SaddleSystem, pc: Preconditioner) -> tuple[float, 
         Rinv = sym_inv_sqrt(P_H)
     except NotPositiveDefinite as exc:
         raise ValueError("symmetric part of P is not positive definite") from exc
-    X = compute_X(system, pc)
+    X = compute_X(pc)
     x_norm = spectral_norm(Rh @ X @ Rh)
     pw_norm = spectral_norm(Rinv @ (P - dense(system.W)) @ Rinv)
     return x_norm, pw_norm

@@ -25,7 +25,7 @@ from .analysis import check_lemma4, omega_bound_symmetric, omega_bound_triangula
 from .linalg import LinAlgFailure, NotPositiveDefinite
 from .precond import BLOCK_TRI, PChoice, build, pd_bound
 from .problems import build_oseen, export
-from .solvers import MAX_ITERS, SolveConfig, best_report, omega_sweep, solve_with
+from .solvers import _SOLVERS, MAX_ITERS, SolveConfig, best_report, omega_sweep, solve_with
 from .tables import (CASE_MAP, CASES, COLUMNS, PUBLISHED_OMEGA, check_tabulated, resolve_solver,
                      run_table)
 
@@ -112,7 +112,7 @@ _FLAGS = {
     "seed": (("--seed",), dict(type=int, default=0)),
     "format": (("--format",), dict(choices=("csv", "json"), default="csv")),
     "out": (("--out",), dict(default=None, help="output file (default: stdout)")),
-    "solver": (("--solver",), dict(choices=("gcp", "stationary", "gmres", "qmr"))),
+    "solver": (("--solver",), dict(choices=tuple(_SOLVERS))),
     "omega": (("--omega",), dict(type=float, required=True)),
 }
 
@@ -143,7 +143,7 @@ def make_parser() -> argparse.ArgumentParser:
     w.add_argument("--omega-grid", required=True, metavar="a:b:step")
 
     a = sub.add_parser("analyze", help="spectral diagnostics for one case")
-    _add_flags(a, "l", "nu", "case", "seed", "out", "omega")
+    _add_flags(a, "l", "nu", "case", "out", "omega")
 
     t = sub.add_parser("table", help="reproduce a benchmark table")
     t.add_argument("table_id", type=int, choices=tuple(PUBLISHED_OMEGA))
@@ -255,7 +255,7 @@ def cmd_analyze(args) -> int:
     if args.l > 16:
         raise UsageError("analyze is limited to l <= 16 (dense spectral cost)")
     family, kind = CASE_MAP[args.case]
-    system = _checked(build_oseen, args.l, args.nu, seed=args.seed)
+    system = _checked(build_oseen, args.l, args.nu)
     pc = build_case(system, args.case, args.omega, enforce_pd=True)
     bounds = {
         "omega_bound_symmetric": _premised(system, omega_bound_symmetric, system.W),

@@ -14,7 +14,7 @@ Three families share the same (1,1) block P:
   of P, the system's CSR B and a CSR B^T formed once at build (a product
   with the view ``B.T`` builds a new CSC array on every call).
 
-No family keeps a dense factor, a dense B or an n x n array.
+No family keeps a dense factor or a dense B.
 
 P is either omega * H (requires H SPD) or the triangular product
 (1/omega) (I + omega L_s)(I + omega U_s), positive definite exactly when
@@ -79,7 +79,8 @@ class Preconditioner:
     * block-triangular: ``P_lu``, h^2/nu and ``BT``, the CSR B^T formed
       once at build for the back-substitution.
 
-    None keeps E, a dense factor, a dense B or an n x n array.  P is formed
+    None keeps E, a dense factor or a dense B; the one n x n array it can
+    carry is the dense P of a ``custom`` ``p_choice``.  Any other P is formed
     sparse from W on each read (``P`` densifies it) and never kept.
     """
 

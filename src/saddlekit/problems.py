@@ -63,8 +63,9 @@ class SaddleSystem:
     given as; a caller that needs a dense block forms its own.  Every system
     records ``null_BT``, an orthonormal basis (m x d) of null(B^T): the one
     given, else one from a thin SVD of B^T at construction.  A malformed
-    block (W not n x n, B without n columns, f or g of the wrong length) is
-    refused before that SVD.
+    block (W not n x n, B without n columns, f or g of the wrong length) and
+    a NaN or an infinity in W, B, f, g or a given ``null_BT`` are refused
+    before that SVD, with a ValueError that names the block.
 
     {0} x null(B^T) lies in the null space of A and of A^T.  When sym(W) is
     positive definite it is all of both: A (u; p) = 0 gives
@@ -88,13 +89,17 @@ class SaddleSystem:
                 object.__setattr__(self, name, M)
         n, m = self.n, self.m
         for name, want in (("W", (n, n)), ("B", (m, n)), ("f", (n,)), ("g", (m,))):
-            if np.shape(getattr(self, name)) != want:
+            value = getattr(self, name)
+            if np.shape(value) != want:
                 raise ValueError(f"{name} must have shape {want} (n = {n}, m = {m}), "
-                                 f"got {np.shape(getattr(self, name))}")
+                                 f"got {np.shape(value)}")
+            if not np.isfinite(value.data if sps.issparse(value) else value).all():
+                raise ValueError(f"{name} has non-finite entries")
         if self.null_BT is None:
             object.__setattr__(self, "null_BT", null_basis(self.B.T))
-        elif np.ndim(self.null_BT) != 2 or np.shape(self.null_BT)[0] != m:
-            raise ValueError(f"null_BT must be an m x d array with m = {m}")
+        elif (np.ndim(self.null_BT) != 2 or np.shape(self.null_BT)[0] != m
+              or not np.isfinite(self.null_BT).all()):
+            raise ValueError(f"null_BT must be a finite m x d array with m = {m}")
 
     @property
     def n(self) -> int:

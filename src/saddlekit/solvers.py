@@ -127,14 +127,12 @@ class _Run:
         return IterationReport(k, self.history, self.omega, self.case_label, status, x)
 
 
-def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
-                cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
+def _gcp(run: _Run, pc: Preconditioner) -> IterationReport:
     """Fixed-point iteration x <- x + M^+ (b - A x).
 
     The residual taken for the stopping test is the next step's r, so each
     step makes one product with A.
     """
-    run = _Run(system, pc, cfg, case_label)
     x = np.zeros_like(run.b)
     r = run.residual(x, 0)
     k = 0
@@ -145,14 +143,12 @@ def gcp_iterate(system: SaddleSystem, pc: Preconditioner,
     return run.end(k, x)
 
 
-def gmres_restarted(system: SaddleSystem, pc: Preconditioner,
-                    cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
+def _gmres(run: _Run, pc: Preconditioner) -> IterationReport:
     """Left-preconditioned GMRES(restart); iteration count = total inner steps.
 
     Each cycle starts from the residual the stopping test took at its last
     iterate.
     """
-    run = _Run(system, pc, cfg, case_label)
     cfg = run.cfg
     x = np.zeros_like(run.b)
     r = run.residual(x, 0)
@@ -196,8 +192,7 @@ def gmres_restarted(system: SaddleSystem, pc: Preconditioner,
     return run.end(total, x)
 
 
-def qmr(system: SaddleSystem, pc: Preconditioner,
-        cfg: SolveConfig | None = None, case_label: str = "") -> IterationReport:
+def _qmr(run: _Run, pc: Preconditioner) -> IterationReport:
     """Coupled two-term QMR without look-ahead on the left-preconditioned operator.
 
     Shadow vector initialized to the initial preconditioned residual;
@@ -205,7 +200,6 @@ def qmr(system: SaddleSystem, pc: Preconditioner,
     residual that is not finite ends the run ``diverged`` at 0 steps, as in
     GMRES.
     """
-    run = _Run(system, pc, cfg, case_label)
     A = run.A
     # one CSR A^T per solve: a product with the view A.T builds a new CSC
     # array on every call, and both add each entry's terms in the same order
@@ -272,20 +266,22 @@ def qmr(system: SaddleSystem, pc: Preconditioner,
     return run.end(k, x)
 
 
-_SOLVERS = {"gcp": gcp_iterate, "stationary": gcp_iterate,
-            "gmres": gmres_restarted, "qmr": qmr}
+_SOLVERS = {"gcp": _gcp, "stationary": _gcp, "gmres": _gmres, "qmr": _qmr}
 
 
 def _solver(name: str):
-    """The solver called ``name``; an unknown name is a ValueError."""
+    """The loop called ``name``; an unknown name is a ValueError."""
     if name not in _SOLVERS:
         raise ValueError(f"unknown solver {name!r}; known: {', '.join(_SOLVERS)}")
     return _SOLVERS[name]
 
 
 def solve_with(solver: str, system: SaddleSystem, pc, cfg=None, case_label: str = "") -> IterationReport:
-    """Run one solver by name."""
-    return _solver(solver)(system, pc, cfg, case_label)
+    """Run the solver named ``solver``, a key of ``_SOLVERS``; the one way to run a solver.
+
+    The name is checked before the solver's loop gets the solve's one ``_Run``."""
+    loop = _solver(solver)
+    return loop(_Run(system, pc, cfg, case_label), pc)
 
 
 def omega_sweep(system: SaddleSystem, family: str, p_kind: str,

@@ -18,7 +18,6 @@ from saddlekit import (
     check_lemma4,
     compute_X,
     gcp_convergence_indicator,
-    gcp_iterate,
     norm_certificates,
     omega_bound_symmetric,
     omega_bound_triangular,
@@ -46,7 +45,7 @@ class TestComputeX:
         W = np.eye(n)
         s = SaddleSystem(W=W, B=B, f=np.zeros(n), g=np.zeros(n))
         pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=np.eye(n)))
-        assert np.allclose(compute_X(s, pc), 0.0, atol=1e-9)
+        assert np.allclose(compute_X(pc), 0.0, atol=1e-9)
 
     def test_zero_b_gives_p_inverse(self, rng):
         n = 4
@@ -54,7 +53,7 @@ class TestComputeX:
         s = SaddleSystem(W=W, B=np.zeros((2, n)), f=np.zeros(n), g=np.zeros(2))
         P = np.diag([1.0, 2.0, 4.0, 8.0])
         pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=P))
-        assert np.allclose(compute_X(s, pc), np.linalg.inv(P), atol=1e-12)
+        assert np.allclose(compute_X(pc), np.linalg.inv(P), atol=1e-12)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -67,13 +66,13 @@ class TestComputeX:
             Pinv = np.linalg.inv(pc.P)
             E = s.B @ Pinv @ s.B.T
             X_oracle = Pinv - Pinv @ s.B.T @ pinv(E) @ s.B @ Pinv
-            assert np.allclose(compute_X(s, pc), X_oracle, atol=1e-8)
+            assert np.allclose(compute_X(pc), X_oracle, atol=1e-8)
 
     def test_family_gate(self):
         s = saddle(0)
         pc = build(s, BLOCK_DIAG, PChoice())
         with pytest.raises(ValueError):
-            compute_X(s, pc)
+            compute_X(pc)
 
 
 class TestIndicator:
@@ -257,7 +256,7 @@ def test_eigenvalue_real_parts_symmetric_p():
     s = build_oseen(4, 0.1)
     omega = 1.3
     pc = constraint_pc(s, omega=omega)
-    X = compute_X(s, pc)
+    X = compute_X(pc)
     lam = np.linalg.eigvals(X @ (pc.P - s.W))
     nonzero = lam[np.abs(lam) > 1e-8]
     assert np.allclose(nonzero.real, 1.0 - 1.0 / omega, atol=1e-6)

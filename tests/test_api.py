@@ -50,5 +50,14 @@ def test_traced_lookups_exist():
 
 
 def test_pd_bound_is_one_function():
-    # the PD gate's rule lives in precond; the analysis API re-exports it
-    assert saddlekit.pd_bound is analysis.pd_bound is precond.pd_bound
+    # the PD gate's rule lives in precond; the package exports that function
+    assert saddlekit.pd_bound is precond.pd_bound
+
+
+def test_solve_with_is_the_one_front_end():
+    # every solver runs by name through solve_with; no loop is exported,
+    # under its own name or a solver's
+    assert "solve_with" in saddlekit.__all__
+    loops = set(solvers._SOLVERS.values())
+    assert [name for name in saddlekit.__all__ if getattr(saddlekit, name) in loops] == []
+    assert set(saddlekit.__all__).isdisjoint(solvers._SOLVERS)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ def test_sweep_ignores_thread_variable(capsys, monkeypatch):
     got = run(capsys, *argv)
     assert want[0] == EXIT_OK
     assert got == want
+
+
+def test_readme_sweep_bytes_pinned(capsys):
+    # the README's sweep line prints tests/data/sweep_readme.csv byte for byte
+    # (CRLF rows, then the best-omega line), as the table bytes are pinned
+    code, out, _ = run(capsys, "sweep", "--case", "II", "--nu", "0.001", "-l", "16",
+                       "--omega-grid", "0.02:0.1:0.01")
+    with open(Path(__file__).parent / "data" / "sweep_readme.csv", newline="") as fh:
+        pinned = fh.read()
+    assert code == EXIT_OK
+    assert out == pinned
 
 
 def test_table_grid_guard(capsys):
@@ -334,9 +346,10 @@ def test_not_positive_definite_from_solver_propagates(monkeypatch):
 
 
 @pytest.mark.parametrize("flag", [("--tol", "5"), ("--max-iters", "3"), ("--restart", "2"),
-                                  ("--format", "csv")], ids=lambda f: f[0])
+                                  ("--format", "csv"), ("--seed", "3")], ids=lambda f: f[0])
 def test_analyze_rejects_solve_flags(capsys, monkeypatch, flag):
-    # analyze runs no solve and prints JSON only: these flags would be ignored
+    # analyze runs no solve, prints JSON only and reads no right-hand side:
+    # these flags would be ignored
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a rejected command line")
 

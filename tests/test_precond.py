@@ -25,8 +25,7 @@ from saddlekit import (
     build_oseen,
     build_random_singular,
 )
-from saddlekit import LinAlgFailure, omega_sweep, precond
-from saddlekit.analysis import pd_bound
+from saddlekit import LinAlgFailure, omega_sweep, pd_bound, precond
 from saddlekit.linalg import pinv
 from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from saddlekit.solvers import INFEASIBLE
@@ -345,10 +344,15 @@ def test_constraint_build_holds_no_square_array(kind, omega):
 @pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split"])
 @pytest.mark.parametrize("enforce_pd", [True, False])
 def test_non_finite_w_rejected(kind, enforce_pd):
+    # construction refuses a NaN in W; build refuses one written into the
+    # stored W afterwards (a frozen system does not freeze W's entries)
     s = saddle(7)
     W = s.W.toarray()
     W[0, 1] = np.nan
-    bad = SaddleSystem(W=W, B=s.B, f=s.f, g=s.g)
+    with pytest.raises(ValueError, match="^W has non-finite entries"):
+        SaddleSystem(W=W, B=s.B, f=s.f, g=s.g)
+    bad = SaddleSystem(W=s.W.copy(), B=s.B, f=s.f, g=s.g)
+    bad.W[0, 1] = np.nan
     with pytest.raises(ValueError):
         build(bad, CONSTRAINT, PChoice(kind=kind, omega=0.1), enforce_pd=enforce_pd)
 

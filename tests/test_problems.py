@@ -302,6 +302,12 @@ def test_every_system_records_null_bt():
     assert s.with_rhs(s.rhs()).null_BT is s.null_BT
 
 
+def _with_entry(array, value):
+    array = np.array(array, dtype=float)
+    array.flat[0] = value
+    return array
+
+
 @pytest.mark.parametrize("block", ["W", "B", "f", "g"])
 def test_malformed_block_refused_before_the_svd(block, monkeypatch):
     good = dict(W=3.0 * np.eye(4), B=np.ones((2, 4)), f=np.zeros(4), g=np.zeros(2))
@@ -309,11 +315,15 @@ def test_malformed_block_refused_before_the_svd(block, monkeypatch):
     SaddleSystem(**good)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("SVD taken before the shape check")
+        raise AssertionError("SVD taken before the block checks")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     with pytest.raises(ValueError, match=f"^{block} must have shape"):
         SaddleSystem(**{**good, block: bad[block]})
+    # a NaN or an infinity is refused there too, with the block's name
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{block} has non-finite entries"):
+            SaddleSystem(**{**good, block: _with_entry(good[block], value)})
 
 
 def test_null_bt_shape_checked():
@@ -321,6 +331,13 @@ def test_null_bt_shape_checked():
     for bad in (np.ones(s.m), np.ones((s.m + 1, 1))):
         with pytest.raises(ValueError, match="null_BT"):
             SaddleSystem(W=s.W, B=s.B, f=s.f, g=s.g, null_BT=bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_null_bt_refused(value):
+    s = build_oseen(4, 0.1)
+    with pytest.raises(ValueError, match="^null_BT must be a finite"):
+        SaddleSystem(W=s.W, B=s.B, f=s.f, g=s.g, null_BT=_with_entry(s.null_BT, value))
 
 
 def _blockwise(s):

@@ -18,10 +18,8 @@ from saddlekit import (
     build,
     build_oseen,
     build_random_singular,
-    gcp_iterate,
-    gmres_restarted,
     omega_sweep,
-    qmr,
+    pd_bound,
     solve_with,
 )
 from saddlekit import solvers
@@ -80,7 +78,7 @@ class TestGcp:
     @settings(max_examples=25, deadline=None)
     def test_converges_on_singular_system(self, seed):
         s = saddle(seed)
-        report = gcp_iterate(s, default_pc(s))
+        report = solve_with("gcp", s, default_pc(s))
         assert report.converged and report.status == CONVERGED
         assert true_res(s, report) < 1e-6
         # history[0] is RES at the zero initial guess, i.e. exactly 1
@@ -90,7 +88,7 @@ class TestGcp:
     def test_divergence_is_reported(self):
         s = saddle(5)
         pc = default_pc(s, omega=0.05)  # far below the convergent range
-        report = gcp_iterate(s, pc, SolveConfig(max_iters=2000))
+        report = solve_with("gcp", s, pc, SolveConfig(max_iters=2000))
         assert report.status == DIVERGED and not report.converged
         assert report.x is None and np.isfinite(report.final_res)
         # the diverging RES is not recorded
@@ -115,15 +113,15 @@ class TestGcp:
 
     def test_max_iters_status(self):
         s = saddle(6)
-        report = gcp_iterate(s, default_pc(s), SolveConfig(max_iters=2))
+        report = solve_with("gcp", s, default_pc(s), SolveConfig(max_iters=2))
         assert not report.converged and report.status == MAX_ITERS
 
 
 class TestKrylov:
-    @pytest.mark.parametrize("method", [gmres_restarted, qmr])
+    @pytest.mark.parametrize("solver", ["gmres", "qmr"])
     @given(seed=st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
-    def test_matches_direct_solve_nonsingular(self, method, seed):
+    def test_matches_direct_solve_nonsingular(self, solver, seed):
         # a full-rank B makes A nonsingular: the solve must reach its one
         # solution, here under the constraint M with P = I
         g = np.random.default_rng(seed)
@@ -134,7 +132,7 @@ class TestKrylov:
         s = SaddleSystem(W=W, B=B, f=np.zeros(n), g=np.zeros(m))
         s = s.with_rhs(s.matrix() @ x_true)
         pc = build(s, CONSTRAINT, PChoice(kind="custom", custom_p=np.eye(n)))
-        report = method(s, pc, SolveConfig(tol=1e-10))
+        report = solve_with(solver, s, pc, SolveConfig(tol=1e-10))
         assert report.converged
         assert np.allclose(report.x, x_true, atol=1e-6)
 
@@ -149,19 +147,19 @@ class TestKrylov:
 
     def test_gmres_counts_inner_steps(self):
         s = saddle(9)
-        report = gmres_restarted(s, default_pc(s), SolveConfig(restart=3))
+        report = solve_with("gmres", s, default_pc(s), SolveConfig(restart=3))
         assert report.iterations == len(report.residual_history) - 1
 
     def test_restart_equivalence_when_short(self):
         # with restart >= total steps, restarting never triggers
         s = saddle(10)
-        a = gmres_restarted(s, default_pc(s), SolveConfig(restart=50))
-        b = gmres_restarted(s, default_pc(s), SolveConfig(restart=200))
+        a = solve_with("gmres", s, default_pc(s), SolveConfig(restart=50))
+        b = solve_with("gmres", s, default_pc(s), SolveConfig(restart=200))
         assert a.iterations == b.iterations
 
     def test_qmr_residual_monotone_envelope(self):
         s = saddle(13)
-        report = qmr(s, default_pc(s))
+        report = solve_with("qmr", s, default_pc(s))
         hist = np.array(report.residual_history)
         # true residuals need not be monotone, but must end below tol
         assert hist[-1] < 1e-6
@@ -172,7 +170,6 @@ class TestSweep:
         # at omega = 1e-320 the I/omega term of the triangular-split P
         # overflows, a build that fails without the PD gate
         s = saddle(20)
-        from saddlekit.analysis import pd_bound
         grid = [0.5 * pd_bound(s.W), 1e-320]
         reports = omega_sweep(s, CONSTRAINT, "triangular_split", grid,
                               cfg=SolveConfig(max_iters=2000))
@@ -183,7 +180,6 @@ class TestSweep:
 
     def test_gate_off_builds_past_pd_bound(self):
         s = saddle(20)
-        from saddlekit.analysis import pd_bound
         (report,) = omega_sweep(s, CONSTRAINT, "triangular_split", [2.0 * pd_bound(s.W)],
                                 cfg=SolveConfig(max_iters=50))
         assert report.status != INFEASIBLE and report.iterations > 0
@@ -239,6 +235,22 @@ def test_report_derives_converged_and_final_res():
         done.converged = False
     with pytest.raises(AttributeError):
         done.final_res = 0.0
+
+
+@pytest.mark.parametrize("solver", list(solvers._SOLVERS))
+def test_every_solver_reports_its_case_label(solver):
+    s = saddle(25)
+    report = solve_with(solver, s, default_pc(s), SolveConfig(max_iters=3), case_label="I")
+    assert report.case_label == "I"
+
+
+def test_infeasible_sweep_point_reports_its_case_label():
+    # at omega = 1e-320 the triangular-split P fails the PD gate: no solve runs
+    s = saddle(20)
+    reports = omega_sweep(s, CONSTRAINT, "triangular_split", [0.5 * pd_bound(s.W), 1e-320],
+                          cfg=SolveConfig(max_iters=5), case_label="II")
+    assert reports[1].status == INFEASIBLE
+    assert [r.case_label for r in reports] == ["II", "II"]
 
 
 def test_solve_with_unknown_solver():
@@ -301,7 +313,7 @@ def test_qmr_stored_transpose_matches_view(monkeypatch, case, omega):
     family, kind = CASE_MAP[case]
     pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
     cfg = SolveConfig(max_iters=200)
-    stored = qmr(s, pc, cfg)
+    stored = solve_with("qmr", s, pc, cfg)
     kept_views = []
 
     def keep_view(self, copy=False):
@@ -309,7 +321,7 @@ def test_qmr_stored_transpose_matches_view(monkeypatch, case, omega):
         return self
 
     monkeypatch.setattr(sps.csc_array, "tocsr", keep_view)
-    viewed = qmr(s, pc, cfg)
+    viewed = solve_with("qmr", s, pc, cfg)
     assert kept_views == [(s.n + s.m, s.n + s.m)]
     assert (viewed.status, viewed.iterations) == (stored.status, stored.iterations)
     assert stored.iterations > 10
@@ -347,8 +359,7 @@ def test_no_sparse_array_built_per_step(monkeypatch, solver, case, omega):
 # one) on build_oseen(8, nu) with max_iters=400 and no PD gate: one case per
 # solver and way of ending, so every exit of the shared stopping path is
 # pinned to the bit, not only its step count (QMR's breakdown exit is
-# checked by test_qmr_breakdown_scale_free).  Each case runs through solve_with and
-# through the solver function itself, which must agree.
+# checked by test_qmr_breakdown_scale_free).
 HISTORY_DIGESTS = [
     ("gcp", 0.1, "I", 1.0, CONVERGED, 17,
      "9ad6274ec9bb6c64c88e0dad2a004c15b82127069e8511ad86f6cba41299278a"),
@@ -377,29 +388,12 @@ HISTORY_DIGESTS = [
 ]
 
 
-SOLVER_FUNCTIONS = {"gcp": gcp_iterate, "stationary": gcp_iterate,
-                    "gmres": gmres_restarted, "qmr": qmr}
-
-
-def _pinned_runs():
-    # a solve_with run keeps the id pytest gives the bare row
-    for row in HISTORY_DIGESTS:
-        row_id = "-".join(map(str, row))
-        yield pytest.param(*row, False, id=row_id)
-        yield pytest.param(*row, True, id=f"{row_id}-direct")
-
-
-@pytest.mark.parametrize("solver,nu,case,omega,status,iterations,digest,direct",
-                         list(_pinned_runs()))
-def test_residual_history_pinned(solver, nu, case, omega, status, iterations, digest, direct):
+@pytest.mark.parametrize("solver,nu,case,omega,status,iterations,digest", HISTORY_DIGESTS)
+def test_residual_history_pinned(solver, nu, case, omega, status, iterations, digest):
     s = build_oseen(8, nu)
     family, kind = CASE_MAP[case]
     pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
-    cfg = SolveConfig(max_iters=400)
-    if direct:
-        report = SOLVER_FUNCTIONS[solver](s, pc, cfg)
-    else:
-        report = solve_with(solver, s, pc, cfg)
+    report = solve_with(solver, s, pc, SolveConfig(max_iters=400))
     assert (report.status, report.iterations) == (status, iterations)
     h = hashlib.sha256(np.asarray(report.residual_history, dtype=float).tobytes())
     if report.x is not None:
