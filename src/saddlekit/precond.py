@@ -315,18 +315,23 @@ def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
     return _apply(pc, r, "T")
 
 
-def assemble(pc: Preconditioner) -> Array:
-    """Explicit dense (n+m) x (n+m) preconditioner matrix, scattered from its sparse blocks."""
+def assemble(pc: Preconditioner) -> sps.csr_array:
+    """The explicit (n+m) x (n+m) preconditioner matrix as CSR, a test oracle.
+
+    Constraint: [[P, B^T], [-B, 0]]; block-triangular: [[P, B^T], [0, h^2/nu I]];
+    block-diagonal: P's rows, then E = B P^{-1} B^T as m full rows.  No dense
+    (n+m) x (n+m) array is formed; E is the one dense block.
+    """
     n, m, B = pc.n, pc.m, pc.system.B
     P = _p_matrix(pc.system.W, pc.p_choice)
-    M = np.zeros((n + m, n + m))
     if pc.family == CONSTRAINT:
-        blocks = _constraint_matrix(P, B)
-    elif pc.family == BLOCK_DIAG:
-        blocks = P.tocoo()
-        M[n:, n:] = _schur_complement(B, pc.p_solve)
-    else:
-        blocks = sps.block_array([[P, pc.BT],
-                                  [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="coo")
-    M[blocks.row, blocks.col] = blocks.data
-    return M
+        return _constraint_matrix(P, B).tocsr()
+    if pc.family == BLOCK_TRI:
+        return sps.block_array([[P, pc.BT], [None, sps.eye_array(m) * pc.h_sq_over_nu]],
+                               format="csr")
+    E = _schur_complement(B, pc.p_solve)
+    # E's column indices in P's index dtype: a cast of m^2 indices would be one more copy
+    indptr = np.concatenate([P.indptr, P.nnz + m * np.arange(1, m + 1)])
+    indices = np.concatenate([P.indices, np.tile(np.arange(n, n + m, dtype=P.indices.dtype), m)])
+    return sps.csr_array((np.concatenate([P.data, E.ravel()]), indices, indptr),
+                         shape=(n + m, n + m))

@@ -55,6 +55,28 @@ def lower_skew_part(W) -> sps.csr_array:
     return sps.tril(skew_part(W), -1, format="csr")
 
 
+def _read_only(a: Array) -> Array:
+    """a itself when it refuses writes, else a read-only view of it: the
+    caller's own array keeps its write flag."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
+def _read_only_csr(M) -> sps.csr_array:
+    """M as a float CSR array whose data, indices and indptr refuse writes;
+    M itself when it already is one."""
+    if not (isinstance(M, sps.csr_array) and M.dtype == np.float64):
+        M = sps.csr_array(M, dtype=float) if sps.issparse(M) else sps.csr_array(dense(M))
+    arrays = (M.data, M.indices, M.indptr)
+    if not any(a.flags.writeable for a in arrays):
+        return M
+    M = sps.csr_array(arrays, shape=M.shape)  # a new object on M's buffers (or casts of them)
+    M.data, M.indices, M.indptr = map(_read_only, (M.data, M.indices, M.indptr))
+    return M
+
+
 @dataclass(frozen=True)
 class SaddleSystem:
     """The block system [[W, B^T], [-B, 0]] (u; p) = (f; g).
@@ -66,6 +88,12 @@ class SaddleSystem:
     block (W not n x n, B without n columns, f or g of the wrong length) and
     a NaN or an infinity in W, B, f, g or a given ``null_BT`` are refused
     before that SVD, with a ValueError that names the block.
+
+    Every stored array refuses writes: f, g and ``null_BT`` are read-only
+    views (an array that already is one is kept as is), and so are W's and
+    B's ``data``, ``indices`` and ``indptr``.  An in-place edit can then
+    neither skip these checks nor move a block under a built
+    preconditioner's factors.  The caller's own arrays keep their write flag.
 
     {0} x null(B^T) lies in the null space of A and of A^T.  When sym(W) is
     positive definite it is all of both: A (u; p) = 0 gives
@@ -83,23 +111,24 @@ class SaddleSystem:
 
     def __post_init__(self):
         for name in ("W", "B"):
-            M = getattr(self, name)
-            if not isinstance(M, sps.csr_array):
-                M = sps.csr_array(M, dtype=float) if sps.issparse(M) else sps.csr_array(dense(M))
-                object.__setattr__(self, name, M)
+            object.__setattr__(self, name, _read_only_csr(getattr(self, name)))
+        for name in ("f", "g"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
         n, m = self.n, self.m
         for name, want in (("W", (n, n)), ("B", (m, n)), ("f", (n,)), ("g", (m,))):
             value = getattr(self, name)
-            if np.shape(value) != want:
+            if value.shape != want:
                 raise ValueError(f"{name} must have shape {want} (n = {n}, m = {m}), "
-                                 f"got {np.shape(value)}")
+                                 f"got {value.shape}")
             if not np.isfinite(value.data if sps.issparse(value) else value).all():
                 raise ValueError(f"{name} has non-finite entries")
         if self.null_BT is None:
-            object.__setattr__(self, "null_BT", null_basis(self.B.T))
-        elif (np.ndim(self.null_BT) != 2 or np.shape(self.null_BT)[0] != m
-              or not np.isfinite(self.null_BT).all()):
-            raise ValueError(f"null_BT must be a finite m x d array with m = {m}")
+            N = null_basis(self.B.T)
+        else:
+            N = np.asarray(self.null_BT, dtype=float)
+            if N.ndim != 2 or N.shape[0] != m or not np.isfinite(N).all():
+                raise ValueError(f"null_BT must be a finite m x d array with m = {m}")
+        object.__setattr__(self, "null_BT", _read_only(N))
 
     @property
     def n(self) -> int:

@@ -27,8 +27,9 @@ from saddlekit import (
 )
 from saddlekit import LinAlgFailure, omega_sweep, pd_bound, precond
 from saddlekit.linalg import pinv
-from saddlekit.precond import FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
+from saddlekit.precond import CUSTOM, FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPLIT
 from saddlekit.solvers import INFEASIBLE
+from saddlekit.tables import CASE_MAP
 from saddlekit.problems import skew_part, symmetric_part
 
 
@@ -344,17 +345,19 @@ def test_constraint_build_holds_no_square_array(kind, omega):
 @pytest.mark.parametrize("kind", ["symmetric_scaled", "triangular_split"])
 @pytest.mark.parametrize("enforce_pd", [True, False])
 def test_non_finite_w_rejected(kind, enforce_pd):
-    # construction refuses a NaN in W; build refuses one written into the
-    # stored W afterwards (a frozen system does not freeze W's entries)
+    # construction refuses a NaN in W, and the stored W refuses one written
+    # into it; build refuses a NaN in a custom P (here this kind's P)
     s = saddle(7)
     W = s.W.toarray()
     W[0, 1] = np.nan
     with pytest.raises(ValueError, match="^W has non-finite entries"):
         SaddleSystem(W=W, B=s.B, f=s.f, g=s.g)
-    bad = SaddleSystem(W=s.W.copy(), B=s.B, f=s.f, g=s.g)
-    bad.W[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        build(bad, CONSTRAINT, PChoice(kind=kind, omega=0.1), enforce_pd=enforce_pd)
+    with pytest.raises(ValueError, match="read-only"):
+        s.W[0, 1] = np.nan
+    P = build(s, CONSTRAINT, PChoice(kind=kind, omega=0.1), enforce_pd=False).P
+    P[0, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        build(s, CONSTRAINT, PChoice(kind=CUSTOM, custom_p=P), enforce_pd=enforce_pd)
 
 
 def test_indefinite_h_rejected():
@@ -421,7 +424,46 @@ def test_assembled_e_pinned(nu, kind, digest):
     s = build_oseen(8, nu)
     omega = 0.5 if kind == SYMMETRIC_SCALED else 0.05
     pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega), enforce_pd=False)
-    assert hashlib.sha256(assemble(pc)[s.n:, s.n:].tobytes()).hexdigest() == digest
+    assert hashlib.sha256(assemble(pc).toarray()[s.n:, s.n:].tobytes()).hexdigest() == digest
+
+
+# sha256 of assemble(pc).toarray() on build_oseen(16, nu), omega as for
+# E_DIGESTS: the whole M of every family, pinned to the bit
+M_DIGESTS = [
+    (0.1, CONSTRAINT, SYMMETRIC_SCALED,
+     "e74a6197534e183d0716449df64cf6138e477239c1f707633d80f39fd3bd8a79"),
+    (0.1, CONSTRAINT, TRIANGULAR_SPLIT,
+     "984b5c5f2ab6b2471a9aaa57e41d18c5a6c74cb58b883b3dfe8fc28f9ae33d6b"),
+    (0.1, BLOCK_DIAG, SYMMETRIC_SCALED,
+     "b901c32002a56f3b04097024d0dbc0d64d4680d3641e4c2f389150cb44537c1c"),
+    (0.1, BLOCK_DIAG, TRIANGULAR_SPLIT,
+     "31f7c2355b67b8938557169879c50124efefcea977d7a167c528b4196db35805"),
+    (0.1, BLOCK_TRI, SYMMETRIC_SCALED,
+     "598112056d5f2b45356f8fca26fda593cada3ada49a8a514ef06d8f2cb4c39c5"),
+    (0.1, BLOCK_TRI, TRIANGULAR_SPLIT,
+     "514910da5fc79864dcd069762ecec62f11e2fa86ee74e4fbf68ab724ecbbc92b"),
+    (0.001, CONSTRAINT, SYMMETRIC_SCALED,
+     "c45e64c5d62b9da04340ddef988ba2b593f5124f3d62595e59957e609dc494a9"),
+    (0.001, CONSTRAINT, TRIANGULAR_SPLIT,
+     "984b5c5f2ab6b2471a9aaa57e41d18c5a6c74cb58b883b3dfe8fc28f9ae33d6b"),
+    (0.001, BLOCK_DIAG, SYMMETRIC_SCALED,
+     "2af05e7911a05411746f4dc8fc23273bff8a3afc9e0fbf11b6e56da2723fa7cb"),
+    (0.001, BLOCK_DIAG, TRIANGULAR_SPLIT,
+     "31f7c2355b67b8938557169879c50124efefcea977d7a167c528b4196db35805"),
+    (0.001, BLOCK_TRI, SYMMETRIC_SCALED,
+     "2eec7ba211c1e611a8e1a2d07e9bf7d91dc8ff431d7a42a94f60aa166a6f96ac"),
+    (0.001, BLOCK_TRI, TRIANGULAR_SPLIT,
+     "3fa0c8c65dab79bfffef1adfdb8558f20ac6b21daa826c8ba3fee9df318db28b"),
+]
+
+
+@pytest.mark.parametrize("nu,family,kind,digest", M_DIGESTS)
+def test_assembled_m_pinned(nu, family, kind, digest):
+    s = build_oseen(16, nu)
+    omega = 0.5 if kind == SYMMETRIC_SCALED else 0.05
+    M = assemble(build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False))
+    assert isinstance(M, sps.csr_array)
+    assert hashlib.sha256(M.toarray().tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
@@ -451,7 +493,7 @@ def test_assemble_matches_inline_blocks(family, kind):
     else:
         M[:n, n:] = B.T
         M[n:, n:] = (s.h**2 / s.nu) * np.eye(m)
-    assert assemble(pc).tobytes() == M.tobytes()
+    assert assemble(pc).toarray().tobytes() == M.tobytes()
 
 
 @pytest.mark.parametrize("system", [
@@ -471,7 +513,7 @@ def test_lu_pseudo_inverse_matches_pinv(system, family, kind):
         s, tri_omega = build_oseen(8, system[1]), 0.05
     omega = 1.0 if kind == SYMMETRIC_SCALED else tri_omega
     pc = build(s, family, PChoice(kind=kind, omega=omega))
-    M_dag = np.linalg.pinv(assemble(pc))
+    M_dag = np.linalg.pinv(assemble(pc).toarray())
     R = np.random.default_rng(4).standard_normal((s.n + s.m, 3))
     for got, want in ((apply_pseudo_inverse(pc, R), M_dag @ R),
                       (apply_pseudo_inverse_transpose(pc, R), M_dag.T @ R),
@@ -493,6 +535,47 @@ def test_case_ii_at_l32_is_exact():
     assert (np.linalg.norm(M @ apply_pseudo_inverse(pc, R) - target, axis=0) / norms).max() <= 1e-8
     assert (np.linalg.norm(M.T @ apply_pseudo_inverse_transpose(pc, R) - target, axis=0)
             / norms).max() <= 1e-8
+
+
+# setup32's omega for Cases I, III, V and VI at l=32, nu=0.001, checked as
+# above through the CSR M (Pi = I for the nonsingular block-triangular M);
+# Case IV (omega 0.11, cond(P) = 6.8e16) is the known inexact one, left out
+@pytest.mark.parametrize("case,omega", [("I", 21.60), ("III", 0.02), ("V", 25.67),
+                                        ("VI", 0.04)])
+def test_mplus_at_l32_is_exact(case, omega):
+    s = build_oseen(32, 0.001)
+    family, kind = CASE_MAP[case]
+    pc = build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False)
+    M = assemble(pc)
+    V = np.zeros(s.n + s.m)
+    if family != BLOCK_TRI:
+        V[s.n:] = 1.0 / np.sqrt(s.m)
+    R = np.random.default_rng(2).standard_normal((s.n + s.m, 2))
+    target = R - np.outer(V, V @ R)
+    norms = np.linalg.norm(R, axis=0)
+    assert (np.linalg.norm(M @ apply_pseudo_inverse(pc, R) - target, axis=0) / norms).max() <= 1e-8
+    assert (np.linalg.norm(M.T @ apply_pseudo_inverse_transpose(pc, R) - target, axis=0)
+            / norms).max() <= 1e-8
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assemble_forms_no_dense_m(family):
+    # at l=32 a dense M is (n+m)^2 doubles, 72 MB; the sparse blocks of the
+    # constraint and block-triangular M need a small fraction of that, and the
+    # block-diagonal M is held by its dense m x m E (8 MB) and E's indices
+    s = build_oseen(32, 0.001)
+    pc = build(s, family, PChoice(kind=TRIANGULAR_SPLIT, omega=0.05), enforce_pd=False)
+    dense_bytes = 8 * (s.n + s.m) ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        M = assemble(pc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    share = 0.5 if family == BLOCK_DIAG else 1 / 16
+    assert kept - base <= share * dense_bytes and peak - base <= share * dense_bytes
+    assert isinstance(M, sps.csr_array) and M.shape == (s.n + s.m, s.n + s.m)
 
 
 def _h_spd_verdicts(W) -> tuple[bool, bool]:

@@ -302,6 +302,31 @@ def test_every_system_records_null_bt():
     assert s.with_rhs(s.rhs()).null_BT is s.null_BT
 
 
+@pytest.mark.parametrize("given_basis", [True, False], ids=["given", "computed"])
+def test_stored_arrays_refuse_writes(given_basis):
+    # a write into a stored array would skip the construction checks and move
+    # W or B under a built preconditioner; the caller's arrays stay writeable
+    ref = build_random_singular(8, 4, 3, 0)
+    W, B = ref.W.copy(), ref.B.toarray()
+    f, g, N = ref.f.copy(), ref.g.copy(), ref.null_BT.copy()
+    s = SaddleSystem(W=W, B=B, f=f, g=g, null_BT=N if given_basis else None)
+    stored = [s.W.data, s.W.indices, s.W.indptr, s.B.data, s.B.indices, s.B.indptr,
+              s.f, s.g, s.null_BT]
+    for a in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        s.W.data *= 2
+    assert all(a.flags.writeable for a in (W.data, W.indices, W.indptr, B, f, g, N))
+    assert np.array_equal(s.W.toarray(), ref.W.toarray()) and np.array_equal(s.f, ref.f)
+    # a read-only float array is kept as is: with_rhs hands every block on
+    t = s.with_rhs(s.rhs())
+    assert t.W is s.W and t.B is s.B and t.null_BT is s.null_BT
+    frozen = s.f.copy()
+    frozen.flags.writeable = False
+    assert dataclasses.replace(s, f=frozen).f is frozen
+
+
 def _with_entry(array, value):
     array = np.array(array, dtype=float)
     array.flat[0] = value
