@@ -8,7 +8,7 @@ Three families share the same (1,1) block P:
 * ``block_diag``:  M_b = diag(P, E), E = B P^{-1} B^T, also singular; the
   pseudoinverse is diag(P^{-1}, E^+), P^{-1} from one sparse LU of P and
   E^+ r2 the pressure part of M^+ (0; r2), from the constraint family's
-  pinned LU of M; E itself is formed only by :func:`assemble`.
+  pinned LU of M; no code forms E.
 * ``block_tri``:   M_t = [[P, B^T], [0, (1/nu) h^2 I]], nonsingular; its
   application is an exact back-substitution solve through one sparse LU
   of P, the system's CSR B and a CSR B^T formed once at build (a product
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, aslinearoperator, splu
 
 from .linalg import Array, LinAlgFailure, NotPositiveDefinite, spectral_norm
-from .problems import SaddleSystem, lower_skew_part, skew_part, symmetric_part
+from .problems import SaddleSystem, _read_only, lower_skew_part, skew_part, symmetric_part
 
 CONSTRAINT = "constraint"
 BLOCK_DIAG = "block_diag"
@@ -43,14 +43,15 @@ SYMMETRIC_SCALED = "symmetric_scaled"
 TRIANGULAR_SPLIT = "triangular_split"
 CUSTOM = "custom"
 
-# columns of B^T per P-solve while assemble forms E: one n x m solve would
-# double the peak at l=32 (47 against 24 MB by tracemalloc)
-_E_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class PChoice:
-    """Parameterization of the (1,1) block P."""
+    """Parameterization of the (1,1) block P.
+
+    A writeable ``custom_p`` is stored as a read-only copy, as
+    :class:`SaddleSystem` stores its arrays: the caller's later edits move
+    no built preconditioner.
+    """
 
     kind: str = SYMMETRIC_SCALED
     omega: float = 1.0
@@ -63,6 +64,8 @@ class PChoice:
             raise ValueError("omega must be positive and finite")
         if self.kind == CUSTOM and self.custom_p is None:
             raise ValueError("custom P kind needs an explicit matrix")
+        if self.custom_p is not None:
+            object.__setattr__(self, "custom_p", _read_only(np.asarray(self.custom_p, float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +82,10 @@ class Preconditioner:
     * block-triangular: ``P_lu``, h^2/nu and ``BT``, the CSR B^T formed
       once at build for the back-substitution.
 
-    None keeps E, a dense factor or a dense B; the one n x n array it can
-    carry is the dense P of a ``custom`` ``p_choice``.  Any other P is formed
-    sparse from W on each read (``P`` densifies it) and never kept.
+    No code forms E, and none keeps a dense factor or a dense B; the one
+    n x n array it can carry is the dense P of a ``custom`` ``p_choice``.
+    Any other P is formed sparse from W on each read (``P`` densifies it)
+    and never kept.
     """
 
     family: str
@@ -157,16 +161,6 @@ def _p_lu(P: sps.csr_array):
     # omega = 1e300): one probe solve refuses such an omega at build
     _finite(lu.solve(np.ones(P.shape[0])))
     return lu
-
-
-def _schur_complement(B: sps.csr_array, p_solve) -> Array:
-    """E = B P^{-1} B^T, solved on column blocks of B^T so that no dense B
-    or n x m block is formed; only :func:`assemble` forms it."""
-    m = B.shape[0]
-    E = np.empty((m, m))
-    for j in range(0, m, _E_BLOCK):
-        E[:, j:j + _E_BLOCK] = B @ p_solve(B[j:j + _E_BLOCK].toarray().T)
-    return E
 
 
 def check_h_spd(W) -> None:
@@ -315,23 +309,25 @@ def apply_pseudo_inverse_transpose(pc: Preconditioner, r: Array) -> Array:
     return _apply(pc, r, "T")
 
 
-def assemble(pc: Preconditioner) -> sps.csr_array:
-    """The explicit (n+m) x (n+m) preconditioner matrix as CSR, a test oracle.
+def assemble(pc: Preconditioner) -> LinearOperator:
+    """The (n+m) x (n+m) preconditioner M as a LinearOperator, a test oracle.
 
-    Constraint: [[P, B^T], [-B, 0]]; block-triangular: [[P, B^T], [0, h^2/nu I]];
-    block-diagonal: P's rows, then E = B P^{-1} B^T as m full rows.  No dense
-    (n+m) x (n+m) array is formed; E is the one dense block.
+    Constraint: [[P, B^T], [-B, 0]] and block-triangular: [[P, B^T], [0, h^2/nu I]],
+    each one CSR array.  Block-diagonal: diag(P, E) applied block by block,
+    E y2 = B P^{-1} (B^T y2) (and M^T y = (P^T y1, B P^{-T} (B^T y2))) through
+    the build's P-solves, so that no code forms E.
     """
     n, m, B = pc.n, pc.m, pc.system.B
     P = _p_matrix(pc.system.W, pc.p_choice)
     if pc.family == CONSTRAINT:
-        return _constraint_matrix(P, B).tocsr()
+        return aslinearoperator(_constraint_matrix(P, B).tocsr())
     if pc.family == BLOCK_TRI:
-        return sps.block_array([[P, pc.BT], [None, sps.eye_array(m) * pc.h_sq_over_nu]],
-                               format="csr")
-    E = _schur_complement(B, pc.p_solve)
-    # E's column indices in P's index dtype: a cast of m^2 indices would be one more copy
-    indptr = np.concatenate([P.indptr, P.nnz + m * np.arange(1, m + 1)])
-    indices = np.concatenate([P.indices, np.tile(np.arange(n, n + m, dtype=P.indices.dtype), m)])
-    return sps.csr_array((np.concatenate([P.data, E.ravel()]), indices, indptr),
-                         shape=(n + m, n + m))
+        return aslinearoperator(sps.block_array(
+            [[P, pc.BT], [None, sps.eye_array(m) * pc.h_sq_over_nu]], format="csr"))
+
+    def diag_p_e(P, trans):
+        return lambda y: np.concatenate([P @ y[:n], B @ pc.p_solve(B.T @ y[n:], trans)])
+
+    matvec, rmatvec = diag_p_e(P, "N"), diag_p_e(P.T, "T")
+    return LinearOperator((n + m, n + m), matvec=matvec, rmatvec=rmatvec, matmat=matvec,
+                          rmatmat=rmatvec, dtype=np.float64)

@@ -56,10 +56,10 @@ def lower_skew_part(W) -> sps.csr_array:
 
 
 def _read_only(a: Array) -> Array:
-    """a itself when it refuses writes, else a read-only view of it: the
-    caller's own array keeps its write flag."""
+    """a itself when it refuses writes, else a read-only copy of it: the
+    caller's own array keeps its write flag, and an edit of it moves no copy."""
     if a.flags.writeable:
-        a = a.view()
+        a = a.copy()
         a.flags.writeable = False
     return a
 
@@ -90,10 +90,11 @@ class SaddleSystem:
     before that SVD, with a ValueError that names the block.
 
     Every stored array refuses writes: f, g and ``null_BT`` are read-only
-    views (an array that already is one is kept as is), and so are W's and
-    B's ``data``, ``indices`` and ``indptr``.  An in-place edit can then
-    neither skip these checks nor move a block under a built
-    preconditioner's factors.  The caller's own arrays keep their write flag.
+    copies of writeable arrays (an array that already refuses writes is kept
+    as is), and so are W's and B's ``data``, ``indices`` and ``indptr``.  An
+    in-place edit, of a stored array or of the caller's own, can then neither
+    skip these checks nor move a block under a built preconditioner's
+    factors.  The caller's own arrays keep their write flag.
 
     {0} x null(B^T) lies in the null space of A and of A^T.  When sym(W) is
     positive definite it is all of both: A (u; p) = 0 gives

@@ -19,6 +19,19 @@ if _loaded:
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import warnings
+
+# Hypothesis reports a failing example through libcst, whose import raises a
+# mypy_extensions DeprecationWarning; under error::DeprecationWarning that
+# aborts the whole run.  Import it once here with that warning ignored, so
+# that the filters still fail on numpy, scipy and saddlekit warnings.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the reporter skips the patch
+        pass
+
 import numpy as np
 
 from saddlekit import build_oseen, build_random_singular
@@ -48,3 +61,9 @@ def rng():
 
 def random_saddle(seed, n=8, m=4, rank_b=3):
     return build_random_singular(n=n, m=m, rank_b=rank_b, seed=seed)
+
+
+def densify(M):
+    """A linear operator (``precond.assemble``'s M) as a dense array: one
+    product with the identity."""
+    return M @ np.eye(M.shape[1])

@@ -37,6 +37,8 @@ from saddlekit.problems import skew_part, symmetric_part
 from saddlekit.solvers import omega_sweep
 from saddlekit.tables import DASH_GRID, run_table
 
+from conftest import densify
+
 T_START = time.time()
 DATA = Path(__file__).parent / "data"
 
@@ -92,7 +94,7 @@ def test_criterion_2_block_formula_oracle():
                    PChoice(kind="triangular_split", omega=0.5 * pd_bound(s.W))]
         for choice in choices:
             pc = build(s, CONSTRAINT, choice)
-            M_dag = pinv(assemble(pc), rank_tol=1e-11)
+            M_dag = pinv(densify(assemble(pc)), rank_tol=1e-11)
             R = np.eye(n + m)
             diff = spectral_norm(apply_pseudo_inverse(pc, R) - M_dag)
             worst = max(worst, diff / max(spectral_norm(M_dag), 1.0))

@@ -1,8 +1,13 @@
 """The public names: perfbench builds its namespace from ``saddlekit.__all__``,
 so a dropped export would end a benchmark run as ``run_failed``."""
 
+import numpy as np
+import pytest
+
 import saddlekit
 from saddlekit import analysis, cli, precond, solvers
+
+from conftest import densify
 
 # the names perfbench/workloads.py and perfbench/tracing.py call
 BENCHMARK_NAMES = [
@@ -41,6 +46,18 @@ def test_preconditioner_attrs_perfbench_reads():
         pc = saddlekit.build(s, family, saddlekit.PChoice())
         assert [name for name in PRECONDITIONER_ATTRS if not hasattr(pc, name)] == []
         assert (pc.family, pc.p_choice.kind) == (family, saddlekit.SYMMETRIC_SCALED)
+
+
+@pytest.mark.parametrize("family", precond.FAMILIES)
+def test_assemble_takes_the_calls_perfbench_makes(family):
+    # workloads.mplus_relres: M @ Y and M.T @ Z on column blocks, and M @ y on a vector
+    s = saddlekit.build_oseen(4, 0.1)
+    M = saddlekit.assemble(saddlekit.build(s, family, saddlekit.PChoice()))
+    dense = densify(M)
+    Y, Z = np.random.default_rng(0).standard_normal((2, s.n + s.m, 4))
+    for got, want in ((M @ Y, dense @ Y), (M.T @ Z, dense.T @ Z), (M @ Y[:, 0], dense @ Y[:, 0])):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_traced_lookups_exist():

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dtrtrs
+from scipy.sparse.linalg import LinearOperator
 
 from saddlekit import (
     BLOCK_DIAG,
@@ -31,6 +32,8 @@ from saddlekit.precond import CUSTOM, FAMILIES, SYMMETRIC_SCALED, TRIANGULAR_SPL
 from saddlekit.solvers import INFEASIBLE
 from saddlekit.tables import CASE_MAP
 from saddlekit.problems import skew_part, symmetric_part
+
+from conftest import densify
 
 
 def saddle(seed, **kw):
@@ -160,8 +163,7 @@ class TestBuild:
 def test_block_apply_matches_svd_pinv(family, kind, seed):
     s = saddle(seed)
     pc = build(s, family, valid_choice(s, kind, seed))
-    M = assemble(pc)
-    M_dag = pinv(M, rank_tol=1e-11)
+    M_dag = pinv(densify(assemble(pc)), rank_tol=1e-11)
     R = np.random.default_rng(seed + 1).standard_normal((s.n + s.m, 3))
     assert np.allclose(apply_pseudo_inverse(pc, R), M_dag @ R,
                        atol=1e-7 * max(1.0, np.abs(M_dag).max()))
@@ -175,7 +177,7 @@ def test_block_tri_is_exact_inverse(seed):
     # the (2,2) scalar is 1 without grid metadata and h^2/nu = 0.125 for the Oseen system
     for s in (saddle(seed), build_oseen(4, 0.5)):
         pc = build(s, BLOCK_TRI, valid_choice(s, "symmetric_scaled", seed))
-        M = assemble(pc)
+        M = densify(assemble(pc))
         r = np.random.default_rng(seed).standard_normal(s.n + s.m)
         y = apply_pseudo_inverse(pc, r)
         assert np.allclose(M @ y, r, atol=1e-8 * max(1.0, np.abs(M).max()))
@@ -211,7 +213,7 @@ def test_block_tri_stored_bt_keeps_every_bit(l, nu, kind, omega):
 def test_constraint_singularity_matches_b():
     s = saddle(11)
     pc = build(s, CONSTRAINT, PChoice())
-    M = assemble(pc)
+    M = densify(assemble(pc))
     from saddlekit.linalg import numerical_rank
     # with P nonsingular, rank(M) = n + rank(B); deficiency matches B's
     assert numerical_rank(M) == s.n + numerical_rank(s.B)
@@ -373,7 +375,7 @@ def test_indefinite_h_rejected():
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_no_family_keeps_e(family, kind):
-    # E is formed only by assemble (test_assemble_matches_inline_blocks)
+    # no code forms E: assemble applies it block by block (test_assemble_matches_inline_blocks)
     s = build_oseen(8, 0.001)
     pc = build(s, family, PChoice(kind=kind, omega=0.05), enforce_pd=False)
     arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
@@ -408,9 +410,9 @@ def test_preconditioner_is_frozen():
     assert (pc.m, pc.n) == s.B.shape == (s.m, s.n)
 
 
-# sha256 of assemble's (2,2) block E = B P^{-1} B^T on build_oseen(8, nu) with
-# omega 0.5 (P = omega H) or 0.05 (triangular split, no PD gate), pinned to
-# the bit so that any change in how E is formed shows
+# sha256 of the densified assemble's (2,2) block E = B P^{-1} B^T on
+# build_oseen(8, nu) with omega 0.5 (P = omega H) or 0.05 (triangular split,
+# no PD gate), pinned to the bit so that any change in how E is applied shows
 E_DIGESTS = [
     (0.1, SYMMETRIC_SCALED, "4329f00f803441babaacb6b43f10300a7f86e5359ef567b7a0fbeae41ccb1a75"),
     (0.001, SYMMETRIC_SCALED, "8aa5c082465bd0390413a0be33c5667f3ef6a836fe61af241d63b983dc34cd10"),
@@ -424,10 +426,10 @@ def test_assembled_e_pinned(nu, kind, digest):
     s = build_oseen(8, nu)
     omega = 0.5 if kind == SYMMETRIC_SCALED else 0.05
     pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=omega), enforce_pd=False)
-    assert hashlib.sha256(assemble(pc).toarray()[s.n:, s.n:].tobytes()).hexdigest() == digest
+    assert hashlib.sha256(densify(assemble(pc))[s.n:, s.n:].tobytes()).hexdigest() == digest
 
 
-# sha256 of assemble(pc).toarray() on build_oseen(16, nu), omega as for
+# sha256 of densify(assemble(pc)) on build_oseen(16, nu), omega as for
 # E_DIGESTS: the whole M of every family, pinned to the bit
 M_DIGESTS = [
     (0.1, CONSTRAINT, SYMMETRIC_SCALED,
@@ -462,8 +464,8 @@ def test_assembled_m_pinned(nu, family, kind, digest):
     s = build_oseen(16, nu)
     omega = 0.5 if kind == SYMMETRIC_SCALED else 0.05
     M = assemble(build(s, family, PChoice(kind=kind, omega=omega), enforce_pd=False))
-    assert isinstance(M, sps.csr_array)
-    assert hashlib.sha256(M.toarray().tobytes()).hexdigest() == digest
+    assert isinstance(M, LinearOperator)
+    assert hashlib.sha256(densify(M).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
@@ -493,7 +495,18 @@ def test_assemble_matches_inline_blocks(family, kind):
     else:
         M[:n, n:] = B.T
         M[n:, n:] = (s.h**2 / s.nu) * np.eye(m)
-    assert assemble(pc).toarray().tobytes() == M.tobytes()
+    assert densify(assemble(pc)).tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC_SCALED, TRIANGULAR_SPLIT])
+@pytest.mark.parametrize("nu", [0.1, 0.001])
+def test_block_diag_transpose_matches_dense(nu, kind):
+    # M.T applies (P^T y1, B P^{-T} B^T y2) through the "T" P-solve
+    s = build_oseen(8, nu)
+    pc = build(s, BLOCK_DIAG, PChoice(kind=kind, omega=0.05), enforce_pd=False)
+    M = assemble(pc)
+    want = densify(M).T
+    assert np.linalg.norm(densify(M.T) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("system", [
@@ -513,7 +526,7 @@ def test_lu_pseudo_inverse_matches_pinv(system, family, kind):
         s, tri_omega = build_oseen(8, system[1]), 0.05
     omega = 1.0 if kind == SYMMETRIC_SCALED else tri_omega
     pc = build(s, family, PChoice(kind=kind, omega=omega))
-    M_dag = np.linalg.pinv(assemble(pc).toarray())
+    M_dag = np.linalg.pinv(densify(assemble(pc)))
     R = np.random.default_rng(4).standard_normal((s.n + s.m, 3))
     for got, want in ((apply_pseudo_inverse(pc, R), M_dag @ R),
                       (apply_pseudo_inverse_transpose(pc, R), M_dag.T @ R),
@@ -562,7 +575,7 @@ def test_mplus_at_l32_is_exact(case, omega):
 def test_assemble_forms_no_dense_m(family):
     # at l=32 a dense M is (n+m)^2 doubles, 72 MB; the sparse blocks of the
     # constraint and block-triangular M need a small fraction of that, and the
-    # block-diagonal M is held by its dense m x m E (8 MB) and E's indices
+    # block-diagonal M keeps only its sparse P: E is applied, never formed
     s = build_oseen(32, 0.001)
     pc = build(s, family, PChoice(kind=TRIANGULAR_SPLIT, omega=0.05), enforce_pd=False)
     dense_bytes = 8 * (s.n + s.m) ** 2
@@ -573,9 +586,8 @@ def test_assemble_forms_no_dense_m(family):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    share = 0.5 if family == BLOCK_DIAG else 1 / 16
-    assert kept - base <= share * dense_bytes and peak - base <= share * dense_bytes
-    assert isinstance(M, sps.csr_array) and M.shape == (s.n + s.m, s.n + s.m)
+    assert kept - base <= dense_bytes / 16 and peak - base <= dense_bytes / 16
+    assert isinstance(M, LinearOperator) and M.shape == (s.n + s.m, s.n + s.m)
 
 
 def _h_spd_verdicts(W) -> tuple[bool, bool]:
@@ -702,7 +714,7 @@ def test_block_diag_p_solves_and_e_match_dense(system, kind, family):
              (pc.p_solve(X[:, 0]), np.linalg.solve(P, X[:, 0])),
              (pc.p_solve(X, "T"), np.linalg.solve(P.T, X))]
     if family == BLOCK_DIAG:
-        pairs.append((assemble(pc)[s.n:, s.n:], B @ np.linalg.solve(P, B.T)))
+        pairs.append((densify(assemble(pc))[s.n:, s.n:], B @ np.linalg.solve(P, B.T)))
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -11,9 +11,13 @@ import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 from saddlekit import (
+    CONSTRAINT,
+    PChoice,
     SaddleSystem,
+    build,
     build_oseen,
     build_random_singular,
+    gcp_convergence_indicator,
     make_consistent_rhs,
 )
 from saddlekit.linalg import null_basis, numerical_rank
@@ -325,6 +329,28 @@ def test_stored_arrays_refuse_writes(given_basis):
     frozen = s.f.copy()
     frozen.flags.writeable = False
     assert dataclasses.replace(s, f=frozen).f is frozen
+
+
+def test_caller_edits_move_no_built_system():
+    # the stored arrays are copies: editing the caller's W, B, f, g, null_BT
+    # or custom P after construction and build moves neither the system nor gamma
+    ref = build_random_singular(8, 4, 3, 0)
+    W, B = ref.W.copy(), ref.B.copy()
+    f, g, N = ref.f.copy(), ref.g.copy(), ref.null_BT.copy()
+    P = ref.W.toarray() + np.eye(ref.n)
+    s = SaddleSystem(W=W, B=B, f=f, g=g, null_BT=N)
+    pcs = [build(s, CONSTRAINT, p_choice)
+           for p_choice in (PChoice(), PChoice(kind="custom", custom_p=P))]
+
+    def state():
+        return [s.W.toarray(), s.B.toarray(), s.f, s.g, s.null_BT, *(pc.P for pc in pcs),
+                np.array([gcp_convergence_indicator(s, pc) for pc in pcs])]
+
+    before = [a.copy() for a in state()]
+    f[0] = g[0] = N[0, 0] = np.nan
+    for a in (W.data, B.data, P):
+        a *= 2
+    assert all(np.array_equal(x, y) for x, y in zip(state(), before, strict=True))
 
 
 def _with_entry(array, value):
